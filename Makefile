@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures race bench bench-smoke bench-ratchet profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore verify
+.PHONY: build test vet lint lint-fixtures race bench bench-smoke bench-ratchet profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore perfbench-test verify
 
 build:
 	$(GO) build ./...
@@ -119,8 +119,16 @@ explore:
 	$(GO) run ./cmd/cider soak --explore 5
 	$(GO) run ./cmd/cider diffcheck --explore 3 --seeds 60
 
+# perfbench-test vets and tests the benchmark's own module. `go test ./...`
+# at the root skips it (perfbench/ is a nested module), yet it is the one
+# suite that checks soak schedule and cell digests, diffcheck outcomes and
+# the checked-in replay against perfbench/reference.json.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 # verify is the tier-1 gate: everything must build, vet clean, pass
-# ciderlint, pass the full test suite under the race detector, run the
-# bench, soak, and diffcheck harnesses once end to end, and prove the
-# record/replay round trip is bit-identical.
-verify: build vet lint lint-fixtures race bench-smoke soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke
+# ciderlint, pass the full test suite under the race detector, pass the
+# benchmark module's reference checks, run the bench, soak, and
+# diffcheck harnesses once end to end, and prove the record/replay round
+# trip is bit-identical.
+verify: build vet lint lint-fixtures race perfbench-test bench-smoke soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke
