@@ -37,17 +37,8 @@ type Options struct {
 	Seeds int
 	// Jobs is host parallelism; <= 0 means GOMAXPROCS.
 	Jobs int
-	// Allowlist overrides DefaultAllowlist when non-nil.
-	Allowlist []AllowEntry
 	// Minimize delta-debugs each residual divergence.
 	Minimize bool
-	// MinimizeBudget caps two-cell reruns per minimized divergence;
-	// 0 means a default sized for generated programs.
-	MinimizeBudget int
-	// NoRecord disables scheduler-decision recording (recording is on by
-	// default; the canonical schedule's choice log is empty, so it cannot
-	// change results).
-	NoRecord bool
 	// ArtifactDir is where replay artifacts for diverging seeds are
 	// written; empty means the OS temp dir.
 	ArtifactDir string
@@ -69,46 +60,41 @@ type seedOutcome struct {
 	hits map[string]int
 }
 
+// Minimization budgets: two-cell reruns per minimized program, and per
+// choice log of an explored pair.
+const (
+	programMinimizeBudget = 400
+	pairMinimizeBudget    = 64
+)
+
 // Run executes the oracle over seeds 1..o.Seeds, fanning seeds out over
 // the host-parallel runner. Each seed is a closed experiment (generate,
-// run both cells, diff, filter, optionally minimize), so results merge
-// in seed order and the report is independent of Jobs.
+// run both cells under canonical Recorders, diff, filter, optionally
+// minimize), so results merge in seed order and the report is
+// independent of Jobs. The canonical schedule's choice log is empty, so
+// recording cannot change results.
 func Run(o Options) (*Report, error) {
-	allow := o.Allowlist
-	if allow == nil {
-		allow = DefaultAllowlist()
-	}
-	budget := o.MinimizeBudget
-	if budget <= 0 {
-		budget = 400
-	}
+	allow := DefaultAllowlist()
 	outcomes, err := runner.Map(o.Seeds, o.Jobs, func(i int) (seedOutcome, error) {
 		seed := uint64(i + 1)
 		p := Generate(seed)
 		plan := PlanFor(seed)
-		var divs []Divergence
-		var hits map[string]int
-		if o.NoRecord {
-			divs, hits = Filter(CompareProgram(seed, p, plan), allow)
-		} else {
-			recA, recI := replay.NewRecorder(nil), replay.NewRecorder(nil)
-			pr := runPair(seed, p, plan, recA, recI)
-			divs, hits = Filter(pr.divs, allow)
-			if len(divs) > 0 {
-				a := buildArtifact(seed, 0, recA.Choices(), recI.Choices(),
-					recA.Count()+recI.Count(), pr.digest, divs[0].Sig)
-				path := artifactPath(o.ArtifactDir, seed, 0)
-				if werr := a.WriteFile(path); werr == nil {
-					for j := range divs {
-						divs[j].Artifact = path
-					}
+		recA, recI := replay.NewRecorder(nil), replay.NewRecorder(nil)
+		pr := runPair(seed, p, plan, recA, recI)
+		divs, hits := Filter(pr.divs, allow)
+		if len(divs) > 0 {
+			a := buildArtifact(seed, 0, recA.Choices(), recI.Choices(),
+				recA.Count()+recI.Count(), pr.digest, divs[0].Sig)
+			if _, path := a.Emit(o.ArtifactDir, fmt.Sprintf("seed %#x", seed), ""); path != "" {
+				for j := range divs {
+					divs[j].Artifact = path
 				}
 			}
 		}
 		for j := range divs {
 			divs[j].Program = p.Text()
 			if o.Minimize {
-				divs[j].Minimized = Minimize(p, plan, divs[j], allow, budget).Text()
+				divs[j].Minimized = Minimize(p, plan, divs[j], allow, programMinimizeBudget).Text()
 			}
 		}
 		return seedOutcome{divs: divs, hits: hits}, nil

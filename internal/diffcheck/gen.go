@@ -7,19 +7,16 @@ import (
 	"repro/internal/fault"
 )
 
-// rng is the deterministic program-generation stream: splitmix64, the
-// same generator family the fault layer uses, so a seed fully determines
-// a program on every host and at every parallelism.
+// rng is the deterministic program-generation stream: splitmix64 over
+// the fault layer's finalizer, so a seed fully determines a program on
+// every host and at every parallelism.
 type rng struct{ x uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{x: seed ^ 0x9e3779b97f4a7c15} }
+func newRNG(seed uint64) *rng { return &rng{x: seed ^ fault.Golden} }
 
 func (r *rng) next() uint64 {
-	r.x += 0x9e3779b97f4a7c15
-	z := r.x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	r.x += fault.Golden
+	return fault.Mix64(r.x)
 }
 
 // opKind enumerates the generated operations. Every kind must be safe to

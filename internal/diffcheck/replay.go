@@ -2,8 +2,6 @@ package diffcheck
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/fault"
@@ -12,45 +10,21 @@ import (
 	"repro/internal/sim"
 )
 
-// fold is FNV-1a 64 over mixed-type records (the same incremental shape
-// soak's schedule digest uses); it fingerprints a pair run for the
-// replay digest-equality assertion.
-type fold struct{ h uint64 }
-
-func newFold() *fold { return &fold{h: 0xcbf29ce484222325} }
-
-func (d *fold) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.h ^= uint64(byte(v >> (8 * i)))
-		d.h *= 0x100000001b3
-	}
-}
-
-func (d *fold) str(s string) {
-	for i := 0; i < len(s); i++ {
-		d.h ^= uint64(s[i])
-		d.h *= 0x100000001b3
-	}
-	d.u64(uint64(len(s)))
-}
-
-func (d *fold) sum() uint64 { return d.h }
-
 // foldCell folds everything Compare looks at — the executor log, the
 // normalized per-process event streams, the counters, and the cell
 // health signals — so equal pair digests imply equal comparisons.
-func foldCell(d *fold, r *CellResult) {
-	d.str(r.Err)
-	d.str(r.LeakErr)
-	d.u64(r.Dropped)
-	d.u64(uint64(len(r.Log)))
+func foldCell(d *fault.Digest, r *CellResult) {
+	d.Str(r.Err)
+	d.Str(r.LeakErr)
+	d.U64(r.Dropped)
+	d.U64(uint64(len(r.Log)))
 	for _, line := range r.Log {
-		d.str(line)
+		d.Str(line)
 	}
 	for _, p := range r.Procs {
-		d.str(p)
+		d.Str(p)
 		for _, line := range r.Events[p] {
-			d.str(line)
+			d.Str(line)
 		}
 	}
 	names := make([]string, 0, len(r.Counters))
@@ -59,8 +33,8 @@ func foldCell(d *fold, r *CellResult) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		d.str(n)
-		d.u64(r.Counters[n])
+		d.Str(n)
+		d.U64(r.Counters[n])
 	}
 }
 
@@ -80,11 +54,11 @@ func runPair(seed uint64, p *Program, plan fault.Plan, decA, decI sim.Decider) p
 	a := RunCellDecided(p, false, plan, decA)
 	i := RunCellDecided(p, true, plan, decI)
 	pr := pairRun{android: a, ios: i, divs: Compare(seed, a, i)}
-	d := newFold()
-	d.u64(seed)
+	d := fault.NewDigest()
+	d.U64(seed)
 	foldCell(d, a)
 	foldCell(d, i)
-	pr.digest = d.sum()
+	pr.digest = d.Sum()
 	return pr
 }
 
@@ -104,19 +78,6 @@ func buildArtifact(seed, exploreSeed uint64, chA, chI []replay.Choice, decCount,
 	}
 	a.SetDigest(digest)
 	return a
-}
-
-// artifactPath names a diffcheck artifact deterministically from its
-// provenance, in dir (or the OS temp dir when dir is empty).
-func artifactPath(dir string, seed, exploreSeed uint64) string {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	name := fmt.Sprintf("cider-replay-diffcheck-seed-%x", seed)
-	if exploreSeed != 0 {
-		name += fmt.Sprintf("-x%d", exploreSeed)
-	}
-	return filepath.Join(dir, name+".json")
 }
 
 // ReplayReport is the outcome of re-executing a diffcheck artifact.
@@ -197,52 +158,46 @@ type exOutcome struct {
 // is a real ordering bug. Each is minimized via delta-debug over the
 // two choice logs and written out as a one-command replay artifact.
 func Explore(o Options, rounds int) (*ExploreReport, error) {
-	allow := o.Allowlist
-	if allow == nil {
-		allow = DefaultAllowlist()
-	}
+	allow := DefaultAllowlist()
 	outcomes, err := runner.Map(o.Seeds, o.Jobs, func(i int) (exOutcome, error) {
 		seed := uint64(i + 1)
 		p := Generate(seed)
 		plan := PlanFor(seed)
+		run := func(decs []sim.Decider) replay.Outcome {
+			pr := runPair(seed, p, plan, decs[0], decs[1])
+			out := replay.Outcome{Digest: pr.digest}
+			if divs, _ := Filter(pr.divs, allow); len(divs) > 0 {
+				out.Class, out.Note = divs[0].Sig, divs[0].Sig
+			}
+			return out
+		}
 		var oc exOutcome
 		for round := 1; round <= rounds; round++ {
 			// Distinct explorer seeds per cell: the two simulations are
 			// independent, so their perturbations should be too.
 			recA := replay.NewRecorder(&replay.Explorer{Seed: uint64(round)*2 - 1})
 			recI := replay.NewRecorder(&replay.Explorer{Seed: uint64(round) * 2})
-			pr := runPair(seed, p, plan, recA, recI)
+			out := run([]sim.Decider{recA, recI})
 			oc.runs++
 			oc.decisions += recA.Count() + recI.Count()
 			oc.perturbed += uint64(len(recA.Choices()) + len(recI.Choices()))
-			oc.digests = append(oc.digests, pr.digest)
-			divs, _ := Filter(pr.divs, allow)
-			if len(divs) == 0 {
+			oc.digests = append(oc.digests, out.Digest)
+			if out.Class == "" {
 				continue
 			}
-			sig := divs[0].Sig
-			chA, chI := minimizePair(seed, p, plan, allow, sig, recA.Choices(), recI.Choices())
-			mA := replay.NewRecorder(replay.NewReplayer(chA))
-			mI := replay.NewRecorder(replay.NewReplayer(chI))
-			mpr := runPair(seed, p, plan, mA, mI)
-			if mdivs, _ := Filter(mpr.divs, allow); len(mdivs) == 0 || mdivs[0].Sig != sig {
-				// Defensive: minimization only ever keeps reproducing trials,
-				// so fall back to the unminimized recording.
-				chA, chI = recA.Choices(), recI.Choices()
-				mA = replay.NewRecorder(replay.NewReplayer(chA))
-				mI = replay.NewRecorder(replay.NewReplayer(chI))
-				mpr = runPair(seed, p, plan, mA, mI)
+			f := replay.Failure{
+				Artifact: *buildArtifact(seed, uint64(round), nil, nil, 0, 0, ""),
+				Logs:     [][]replay.Choice{recA.Choices(), recI.Choices()},
+				Count:    recA.Count() + recI.Count(),
+				Outcome:  out,
+				Run:      run,
 			}
-			art := buildArtifact(seed, uint64(round), chA, chI, mA.Count()+mI.Count(), mpr.digest, sig)
-			path := artifactPath(o.ArtifactDir, seed, uint64(round))
-			if werr := art.WriteFile(path); werr != nil {
-				oc.findings = append(oc.findings, fmt.Sprintf("seed %#x: artifact write failed: %v", seed, werr))
-				continue
+			finding, path := f.Reproduce(o.ArtifactDir, pairMinimizeBudget,
+				fmt.Sprintf("seed %#x", seed), fmt.Sprintf("explore round %d, sig %q", round, out.Class))
+			oc.findings = append(oc.findings, finding)
+			if path != "" {
+				oc.artifacts = append(oc.artifacts, path)
 			}
-			oc.findings = append(oc.findings, fmt.Sprintf(
-				"seed %#x (explore round %d, sig %q, %d non-canonical choices after minimization): reproduce with: cider replay %s",
-				seed, round, sig, len(chA)+len(chI), path))
-			oc.artifacts = append(oc.artifacts, path)
 		}
 		return oc, nil
 	})
@@ -250,34 +205,20 @@ func Explore(o Options, rounds int) (*ExploreReport, error) {
 		return nil, err
 	}
 	rep := &ExploreReport{Seeds: o.Seeds, Rounds: rounds}
-	d := newFold()
-	d.u64(uint64(o.Seeds))
-	d.u64(uint64(rounds))
+	d := fault.NewDigest()
+	d.U64(uint64(o.Seeds))
+	d.U64(uint64(rounds))
 	for i, oc := range outcomes {
 		rep.PairRuns += oc.runs
 		rep.Decisions += oc.decisions
 		rep.Perturbed += oc.perturbed
 		rep.Findings = append(rep.Findings, oc.findings...)
 		rep.Artifacts = append(rep.Artifacts, oc.artifacts...)
-		d.u64(uint64(i + 1))
+		d.U64(uint64(i + 1))
 		for _, dg := range oc.digests {
-			d.u64(dg)
+			d.U64(dg)
 		}
 	}
-	rep.Digest = d.sum()
+	rep.Digest = d.Sum()
 	return rep, nil
-}
-
-// minimizePair delta-debugs the two choice logs of a diverging explored
-// pair, one side at a time, while the divergence signature reproduces.
-// Each trial re-executes both cells.
-func minimizePair(seed uint64, p *Program, plan fault.Plan, allow []AllowEntry, sig string, chA, chI []replay.Choice) ([]replay.Choice, []replay.Choice) {
-	repro := func(ta, ti []replay.Choice) bool {
-		pr := runPair(seed, p, plan, replay.NewReplayer(ta), replay.NewReplayer(ti))
-		divs, _ := Filter(pr.divs, allow)
-		return len(divs) > 0 && divs[0].Sig == sig
-	}
-	chA = replay.MinimizeChoices(chA, 0, func(t []replay.Choice) bool { return repro(t, chI) })
-	chI = replay.MinimizeChoices(chI, 0, func(t []replay.Choice) bool { return repro(chA, t) })
-	return chA, chI
 }

@@ -9,7 +9,9 @@
 //
 // The package deliberately imports nothing but the standard library's time
 // (for virtual-time durations): the kernel, xnu, core, and soak layers wire
-// injectors in; fault itself knows nothing about them.
+// injectors in; fault itself knows nothing about them. Being the lowest
+// package every harness imports, it also hosts the two determinism
+// primitives the harnesses share: Mix64 (splitmix64) and Digest (FNV-1a).
 package fault
 
 import (
@@ -310,37 +312,82 @@ func (in *Injector) MemPressure(now time.Duration, path string) (Outcome, bool) 
 	return in.Check(OpMemPressure, path, now)
 }
 
-// mix hashes a decision context to a uniform-ish uint64 with splitmix64.
+// mix hashes a decision context to a uniform-ish uint64: three chained
+// splitmix64 steps over the seed, rule, key digest and hit count.
 // Integer-only: no floats, no host entropy.
 //
 //hot:noalloc
 func mix(seed, rule uint64, key string, n uint64) uint64 {
-	x := seed
-	x = splitmix64(x + 0x9e3779b97f4a7c15*(rule+1))
-	x = splitmix64(x ^ fnv64(key))
-	x = splitmix64(x + n)
-	return x
+	k := Digest{h: fnvOffset}
+	k.bytes(key)
+	x := step(seed + Golden*(rule+1))
+	x = step(x ^ k.h)
+	return step(x + n)
 }
 
+// step is one splitmix64 draw from state x.
 //
 //hot:noalloc
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+func step(x uint64) uint64 { return Mix64(x + Golden) }
+
+// Golden is the splitmix64 state increment, 2^64 divided by the golden
+// ratio.
+const Golden = 0x9e3779b97f4a7c15
+
+// Mix64 is the splitmix64 finalizer, the one pseudo-random primitive in
+// the repo: every seeded choice — the fault layer's one-in-Every
+// decisions, the diffcheck program stream and the schedule explorer in
+// internal/replay — is Mix64 of a pre-mix of its inputs. A splitmix64
+// stream is Mix64 of a state advanced by Golden per draw.
+//
+//hot:noalloc
+func Mix64(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
 }
 
-//
-//hot:noalloc
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+)
+
+// Digest is the one FNV-1a 64 fold in the repo, built up incrementally
+// over mixed-type records: soak's cell and schedule digests, the
+// diffcheck pair digest, every explore digest, and the key hash behind
+// the fault layer's own decisions all fold through it, so equal inputs
+// give equal digests in every harness.
+type Digest struct{ h uint64 }
+
+// NewDigest returns a digest at the FNV-1a offset basis.
+func NewDigest() *Digest { return &Digest{h: fnvOffset} }
+
+// U64 folds v as eight little-endian bytes.
+func (d *Digest) U64(v uint64) {
+	for i := 0; i < 8; i++ {
+		d.h ^= uint64(byte(v >> (8 * i)))
+		d.h *= fnvPrime
 	}
-	return h
+}
+
+// Str folds s's bytes followed by its length, so adjacent strings cannot
+// alias ("ab","c" vs "a","bc").
+func (d *Digest) Str(s string) {
+	d.bytes(s)
+	d.U64(uint64(len(s)))
+}
+
+// Sum returns the digest so far.
+func (d *Digest) Sum() uint64 { return d.h }
+
+//
+//hot:noalloc
+func (d *Digest) bytes(s string) {
+	for i := 0; i < len(s); i++ {
+		d.h ^= uint64(s[i])
+		d.h *= fnvPrime
+	}
 }

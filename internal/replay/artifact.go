@@ -3,7 +3,9 @@ package replay
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 
 	"repro/internal/fault"
@@ -148,4 +150,104 @@ func (a *Artifact) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
+}
+
+// Path names the artifact's file in dir (the OS temp dir when dir is
+// empty), deterministically from its provenance:
+// cider-replay-<schedule>-<cell> for a soak cell,
+// cider-replay-diffcheck-seed-<hex seed> for a diffcheck pair, plus
+// -x<explore seed> for an explored run.
+func (a *Artifact) Path(dir string) string {
+	if dir == "" {
+		dir = os.TempDir()
+	}
+	label := fmt.Sprintf("diffcheck-seed-%x", a.Seed)
+	if a.Kind == KindSoak {
+		label = a.Schedule
+		if a.Cell != nil {
+			label += "-" + a.Cell.String()
+		}
+	}
+	name := "cider-replay-" + sanitize(label)
+	if a.ExploreSeed != 0 {
+		name += fmt.Sprintf("-x%d", a.ExploreSeed)
+	}
+	return filepath.Join(dir, name+".json")
+}
+
+// Emit writes the artifact to Path(dir) and returns the finding line
+// that points at it — "<label> (<detail>): reproduce with: cider replay
+// <path>", the parenthetical omitted when detail is empty — and the path.
+// When the write fails, path is "" and the finding reports the error.
+func (a *Artifact) Emit(dir, label, detail string) (finding, path string) {
+	path = a.Path(dir)
+	if err := a.WriteFile(path); err != nil {
+		return fmt.Sprintf("%s: artifact write failed: %v", label, err), ""
+	}
+	if detail != "" {
+		label += " (" + detail + ")"
+	}
+	return fmt.Sprintf("%s: reproduce with: cider replay %s", label, path), path
+}
+
+// Verify checks a replay of the artifact against the recording and
+// prints the replay report to w. It fails when the replayed digest
+// differs from the recorded one, or when the recording has a decision
+// count and the replay consulted a different number of decisions.
+func (a *Artifact) Verify(w io.Writer, digest, decisions uint64, findings []string) error {
+	want, err := a.DigestValue()
+	if err != nil {
+		return err
+	}
+	label := a.Schedule
+	if a.Kind == KindDiffcheck {
+		label = fmt.Sprintf("seed %#x", a.Seed)
+	}
+	ref := ""
+	if a.Cell != nil {
+		ref = " cell " + a.Cell.String()
+	}
+	fmt.Fprintf(w, "== replay: %s %s%s ==\n", a.Kind, label, ref)
+	fmt.Fprintf(w, "  decisions: %d recorded, %d replayed (%d non-canonical)\n",
+		a.DecisionCount, decisions, len(a.Decisions)+len(a.DecisionsIOS))
+	for _, f := range findings {
+		fmt.Fprintf(w, "  finding: %s\n", f)
+	}
+	if digest != want {
+		fmt.Fprintf(w, "  digest: %016x, recorded %016x\n", digest, want)
+		return fmt.Errorf("replay: digest mismatch: replayed %016x, recorded %016x", digest, want)
+	}
+	fmt.Fprintf(w, "  digest: %016x == recorded (bit-identical)\n", digest)
+	if a.DecisionCount != 0 && decisions != a.DecisionCount {
+		return fmt.Errorf("replay: decision count diverged: replayed %d, recorded %d", decisions, a.DecisionCount)
+	}
+	return nil
+}
+
+// sanitize maps a label to [a-z0-9-] for file names: lmbench test names
+// carry '+', '(', ')' and '/'. Runs of other bytes collapse to one '-',
+// with none leading or trailing.
+func sanitize(s string) string {
+	out := make([]byte, 0, len(s))
+	dash := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
+			out = append(out, c)
+			dash = false
+		case c >= 'A' && c <= 'Z':
+			out = append(out, c+'a'-'A')
+			dash = false
+		default:
+			if !dash && len(out) > 0 {
+				out = append(out, '-')
+				dash = true
+			}
+		}
+	}
+	for len(out) > 0 && out[len(out)-1] == '-' {
+		out = out[:len(out)-1]
+	}
+	return string(out)
 }

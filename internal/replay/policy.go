@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -117,7 +118,8 @@ func (r *Recorder) RecentDecisions() []string {
 }
 
 // Explorer is a sim.Decider that perturbs every ambiguous point
-// pseudo-randomly: decision i takes alternative mix(Seed, i, kind) % n.
+// pseudo-randomly: decision i takes alternative fault.Mix64 of a
+// multiplicative pre-mix of (Seed, i, kind), modulo n.
 // It is a pure function of (Seed, consultation order), so the same seed
 // against the same workload yields the same perturbed schedule — an
 // explored run is as replayable as a canonical one, and wrapping an
@@ -131,7 +133,8 @@ type Explorer struct {
 // Decide implements sim.Decider.
 func (e *Explorer) Decide(kind sim.DecisionKind, where string, n int, at time.Duration) int {
 	e.n++
-	return int(mix(e.Seed, e.n, uint64(kind)) % uint64(n))
+	x := e.Seed*fault.Golden ^ e.n*0xbf58476d1ce4e5b9 ^ uint64(kind)*0x94d049bb133111eb
+	return int(fault.Mix64(x) % uint64(n))
 }
 
 // Replayer is a sim.Decider that replays a recorded choice sequence
@@ -164,16 +167,4 @@ func (r *Replayer) Decide(kind sim.DecisionKind, where string, n int, at time.Du
 		idx = n - 1
 	}
 	return idx
-}
-
-// mix hashes three words into one (splitmix64 over a fnv-style fold;
-// the same idiom as internal/fault's decision function).
-func mix(a, b, c uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 ^ b*0xbf58476d1ce4e5b9 ^ c*0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -2,6 +2,9 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -185,8 +188,8 @@ func TestRecordReplayIdentity(t *testing.T) {
 	}
 }
 
-// TestMinimizeChoices pins the delta-debug shape: only load-bearing
-// choices survive.
+// TestMinimizeChoices pins the delta-debug shape on a choice log: only
+// load-bearing choices survive.
 func TestMinimizeChoices(t *testing.T) {
 	in := []Choice{{Pos: 1, Index: 1}, {Pos: 4, Index: 2}, {Pos: 9, Index: 1}, {Pos: 12, Index: 3}}
 	// Failure reproduces iff positions 4 and 12 are both present.
@@ -197,14 +200,160 @@ func TestMinimizeChoices(t *testing.T) {
 		}
 		return has[4] && has[12]
 	}
-	min := MinimizeChoices(in, 0, repro)
+	min := Minimize(in, 64, repro)
 	if len(min) != 2 || min[0].Pos != 4 || min[1].Pos != 12 {
 		t.Fatalf("minimized to %v, want positions 4 and 12", min)
 	}
 	// A non-reproducing input comes back unchanged (nothing to shrink to).
-	same := MinimizeChoices(in, 0, func([]Choice) bool { return false })
+	same := Minimize(in, 64, func([]Choice) bool { return false })
 	if len(same) != len(in) {
 		t.Fatalf("non-reproducing input shrank to %v", same)
+	}
+	// The budget caps trials: one trial can drop only the last choice.
+	trials := 0
+	capped := Minimize(in, 1, func([]Choice) bool { trials++; return true })
+	if trials != 1 || len(capped) != len(in)-1 {
+		t.Fatalf("budget 1: %d trials, %d choices left", trials, len(capped))
+	}
+}
+
+// fakePair is a two-simulator cell for Failure tests: each simulator
+// consults 16 decision points with 3 alternatives, and the cell fails
+// with class "boom" iff simulator 0 deviates at position 4 and
+// simulator 1 at position 9.
+func fakePair(decs []sim.Decider) Outcome {
+	var taken [2]map[int]bool
+	d := fault.NewDigest()
+	for j, dec := range decs {
+		taken[j] = map[int]bool{}
+		for pos := 0; pos < 16; pos++ {
+			idx := dec.Decide(sim.DecisionWake, "w", 3, 0)
+			d.U64(uint64(idx))
+			if idx != 0 {
+				taken[j][pos] = true
+			}
+		}
+	}
+	out := Outcome{Digest: d.Sum()}
+	if taken[0][4] && taken[1][9] {
+		out.Class, out.Note = "boom", "boom happened"
+	}
+	return out
+}
+
+// TestFailureReproduceMinimizes drives the shared explore-failure path:
+// both logs shrink to their load-bearing choice, the artifact records
+// the minimized re-run, and the finding names the written file.
+func TestFailureReproduceMinimizes(t *testing.T) {
+	logs := [][]Choice{
+		{{Pos: 1, Index: 1}, {Pos: 4, Index: 1}, {Pos: 6, Index: 2}, {Pos: 11, Index: 1}},
+		{{Pos: 0, Index: 2}, {Pos: 9, Index: 2}, {Pos: 13, Index: 1}},
+	}
+	orig := fakePair([]sim.Decider{NewReplayer(logs[0]), NewReplayer(logs[1])})
+	if orig.Class != "boom" {
+		t.Fatal("fixture does not fail")
+	}
+	dir := t.TempDir()
+	f := Failure{
+		Artifact: Artifact{Version: ArtifactVersion, Kind: KindDiffcheck, Seed: 0x2a, ExploreSeed: 3},
+		Logs:     logs,
+		Count:    32,
+		Outcome:  orig,
+		Run:      fakePair,
+	}
+	finding, path := f.Reproduce(dir, 64, "seed 0x2a", "explore round 3")
+	if path != filepath.Join(dir, "cider-replay-diffcheck-seed-2a-x3.json") {
+		t.Fatalf("artifact path %q", path)
+	}
+	want := "seed 0x2a (explore round 3, 2/7 non-canonical choices after minimization): reproduce with: cider replay " + path
+	if finding != want {
+		t.Fatalf("finding\n got %s\nwant %s", finding, want)
+	}
+	a, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Decisions) != 1 || a.Decisions[0].Pos != 4 || len(a.DecisionsIOS) != 1 || a.DecisionsIOS[0].Pos != 9 {
+		t.Fatalf("minimized logs %v / %v", a.Decisions, a.DecisionsIOS)
+	}
+	min := fakePair([]sim.Decider{NewReplayer(a.Decisions), NewReplayer(a.DecisionsIOS)})
+	if a.DecisionCount != 32 || a.Note != "boom happened" || a.Digest != fmt.Sprintf("%016x", min.Digest) {
+		t.Fatalf("artifact does not describe the minimized run: %+v", a)
+	}
+}
+
+// TestFailureReproduceFallsBack: when the re-run under the minimized
+// logs no longer fails, the artifact keeps the original recording.
+func TestFailureReproduceFallsBack(t *testing.T) {
+	logs := [][]Choice{{{Pos: 4, Index: 1}, {Pos: 7, Index: 2}}, {{Pos: 9, Index: 1}}}
+	orig := fakePair([]sim.Decider{NewReplayer(logs[0]), NewReplayer(logs[1])})
+	f := Failure{
+		Artifact: Artifact{Version: ArtifactVersion, Kind: KindDiffcheck, Seed: 7},
+		Logs:     logs,
+		Count:    32,
+		Outcome:  orig,
+		// A flaky cell: nothing after the original run fails.
+		Run: func([]sim.Decider) Outcome { return Outcome{Digest: 1} },
+	}
+	finding, path := f.Reproduce(t.TempDir(), 64, "seed 0x7", "explore round 1")
+	if !strings.Contains(finding, "(explore round 1, 3/3 non-canonical choices") {
+		t.Fatalf("finding %q", finding)
+	}
+	a, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Decisions) != 2 || len(a.DecisionsIOS) != 1 || a.Note != orig.Note ||
+		a.Digest != fmt.Sprintf("%016x", orig.Digest) || a.DecisionCount != 32 {
+		t.Fatalf("fallback artifact %+v does not keep the original recording", a)
+	}
+}
+
+// TestArtifactPath pins the one artifact namer for both kinds.
+func TestArtifactPath(t *testing.T) {
+	cases := []struct {
+		a    Artifact
+		want string
+	}{
+		{Artifact{Kind: KindSoak, Schedule: "daemon-crash", Cell: &CellRef{Bench: "mach"}}, "cider-replay-daemon-crash-mach.json"},
+		{Artifact{Kind: KindSoak, Schedule: "eintr-storm", ExploreSeed: 5,
+			Cell: &CellRef{Bench: "lmbench", Config: "cider-ios", Test: "pipe latency (+fork)"}},
+			"cider-replay-eintr-storm-lmbench-cider-ios-pipe-latency-fork-x5.json"},
+		{Artifact{Kind: KindDiffcheck, Seed: 0x2a}, "cider-replay-diffcheck-seed-2a.json"},
+		{Artifact{Kind: KindDiffcheck, Seed: 200, ExploreSeed: 3}, "cider-replay-diffcheck-seed-c8-x3.json"},
+	}
+	for _, c := range cases {
+		if got := c.a.Path("/d"); got != filepath.Join("/d", c.want) {
+			t.Errorf("Path = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestVerifyCountsBothLogs pins the replay report: a diffcheck artifact's
+// non-canonical count covers both persona logs, and digest or decision
+// count mismatches fail.
+func TestVerifyCountsBothLogs(t *testing.T) {
+	a := &Artifact{Version: ArtifactVersion, Kind: KindDiffcheck, Seed: 0x2a,
+		Decisions:     []Choice{{Pos: 1, Index: 1}},
+		DecisionsIOS:  []Choice{{Pos: 2, Index: 1}, {Pos: 5, Index: 2}},
+		DecisionCount: 12}
+	a.SetDigest(0xabc)
+	var b strings.Builder
+	if err := a.Verify(&b, 0xabc, 12, []string{"f1"}); err != nil {
+		t.Fatal(err)
+	}
+	want := "== replay: diffcheck seed 0x2a ==\n" +
+		"  decisions: 12 recorded, 12 replayed (3 non-canonical)\n" +
+		"  finding: f1\n" +
+		"  digest: 0000000000000abc == recorded (bit-identical)\n"
+	if b.String() != want {
+		t.Fatalf("report\n%s\nwant\n%s", b.String(), want)
+	}
+	if err := a.Verify(io.Discard, 0xabd, 12, nil); err == nil {
+		t.Error("digest mismatch accepted")
+	}
+	if err := a.Verify(io.Discard, 0xabc, 13, nil); err == nil {
+		t.Error("decision count mismatch accepted")
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/replay"
 	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // ExploreResult summarizes a schedule-exploration run.
@@ -38,7 +40,7 @@ func (r *ExploreResult) Err() error {
 	if len(r.Findings) == 0 {
 		return nil
 	}
-	return fmt.Errorf("soak: explore %s: %d finding(s):\n  %s", r.Schedule, len(r.Findings), joinIndent(r.Findings))
+	return fmt.Errorf("soak: explore %s: %d finding(s):\n  %s", r.Schedule, len(r.Findings), strings.Join(r.Findings, "\n  "))
 }
 
 // MinimizeBudget is the per-failure trial budget for schedule
@@ -61,67 +63,48 @@ const MinimizeBudget = 96
 func Explore(s Schedule, opts Options, rounds int) *ExploreResult {
 	res := &ExploreResult{Schedule: s.Name, Rounds: rounds}
 	refs := CellRefs(opts.Tests, opts.Full)
-	d := newDigest()
-	d.str(s.Name)
-	d.u64(s.Plan.Seed)
+	d := fault.NewDigest()
+	d.Str(s.Name)
+	d.U64(s.Plan.Seed)
 	for round := 1; round <= rounds; round++ {
 		seed := uint64(round)
 		outcomes, _ := runner.Map(len(refs), opts.Jobs, func(i int) (cellOutcome, error) {
-			rec := replay.NewRecorder(&replay.Explorer{Seed: seed})
-			o := runCellRef(s, refs[i], rec)
-			o.fromRecorder(rec)
-			return o, nil
+			return recordCell(s, refs[i], &replay.Explorer{Seed: seed}), nil
 		})
-		d.u64(seed)
+		d.U64(seed)
 		for i := range outcomes {
 			o := &outcomes[i]
 			res.CellRuns++
 			res.Decisions += o.decCount
 			res.Perturbed += uint64(len(o.choices))
-			d.u64(uint64(i))
-			d.u64(o.digest)
-			d.u64(uint64(len(o.choices)))
+			d.U64(uint64(i))
+			d.U64(o.digest)
+			d.U64(uint64(len(o.choices)))
 			if len(o.findings) == 0 {
 				continue
 			}
 			res.Findings = append(res.Findings, o.findings...)
-			min := minimizeOutcome(s, o)
-			a := artifactForOutcome(s, min, seed)
-			path := artifactPath(opts.ArtifactDir, s.Name, min.ref, seed)
-			if werr := a.WriteFile(path); werr != nil {
-				res.Findings = append(res.Findings, fmt.Sprintf("cell %s: artifact write failed: %v", min.ref, werr))
-				continue
+			ref := o.ref
+			f := replay.Failure{
+				Artifact: *artifactForOutcome(s, o, seed),
+				Logs:     [][]replay.Choice{o.choices},
+				Count:    o.decCount,
+				Outcome:  o.outcome(),
+				Run: func(decs []sim.Decider) replay.Outcome {
+					t := runCellRef(s, ref, decs[0])
+					return t.outcome()
+				},
 			}
-			res.Findings = append(res.Findings, fmt.Sprintf(
-				"cell %s (explore seed %d, %d/%d non-canonical choices after minimization): reproduce with: cider replay %s",
-				min.ref, seed, len(min.choices), len(o.choices), path))
-			res.Artifacts = append(res.Artifacts, path)
+			finding, path := f.Reproduce(opts.ArtifactDir, MinimizeBudget,
+				"cell "+ref.String(), fmt.Sprintf("explore seed %d", seed))
+			res.Findings = append(res.Findings, finding)
+			if path != "" {
+				res.Artifacts = append(res.Artifacts, path)
+			}
 		}
 	}
-	res.Digest = d.sum()
+	res.Digest = d.Sum()
 	return res
-}
-
-// minimizeOutcome delta-debugs a failing explored cell's choice log
-// down to a shorter one that still reproduces the failure class, then
-// re-runs the cell under the minimized log so the artifact's digest,
-// decision count and note describe the minimized schedule.
-func minimizeOutcome(s Schedule, o *cellOutcome) *cellOutcome {
-	class := findingClass(o.findings)
-	min := replay.MinimizeChoices(o.choices, MinimizeBudget, func(trial []replay.Choice) bool {
-		t := runCellRef(s, o.ref, replay.NewReplayer(trial))
-		return findingClass(t.findings) == class
-	})
-	rec := replay.NewRecorder(replay.NewReplayer(min))
-	out := runCellRef(s, o.ref, rec)
-	out.fromRecorder(rec)
-	if findingClass(out.findings) != class {
-		// Minimization must end on a reproducing log (it only ever keeps
-		// reproducing trials), so this is defensive: fall back to the
-		// original recording.
-		return o
-	}
-	return &out
 }
 
 // findingClass buckets findings into coarse failure classes so

@@ -1,7 +1,6 @@
 package soak
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/replay"
@@ -18,7 +17,7 @@ func TestRecordReplayBitIdentical(t *testing.T) {
 		refs := CellRefs(QuickTests(), false)
 		for i, ref := range refs {
 			a, rec := RecordCell(s, ref, nil, 0)
-			path := filepath.Join(dir, sanitize(s.Name+"-"+ref.String())+".json")
+			path := a.Path(dir)
 			if err := a.WriteFile(path); err != nil {
 				t.Fatal(err)
 			}
@@ -47,27 +46,30 @@ func TestRecordReplayBitIdentical(t *testing.T) {
 }
 
 // TestRecordingDoesNotChangeDigest pins the canonical-equivalence
-// property recording-by-default rests on: a recorded run and an
-// unrecorded run of the same schedule produce identical digests. The
-// decision-heavy daemon-crash schedule is the interesting case; clean
-// is the control.
+// property recording-by-default rests on: every cell run under a
+// canonical Recorder produces the same digest and latency part as the
+// same cell run with no Decider at all. The decision-heavy daemon-crash
+// schedule is the interesting case; clean is the control.
 func TestRecordingDoesNotChangeDigest(t *testing.T) {
 	for _, name := range []string{"clean", "daemon-crash"} {
 		s, ok := ScheduleByName(name)
 		if !ok {
 			t.Fatalf("schedule %s missing", name)
 		}
-		opts := Options{Tests: QuickTests()}
-		recorded := RunSchedule(s, opts)
-		opts.NoRecord = true
-		bare := RunSchedule(s, opts)
-		if recorded.Digest != bare.Digest {
-			t.Errorf("%s: recorded digest %016x != unrecorded %016x",
-				name, recorded.Digest, bare.Digest)
-		}
-		if recorded.LatencyDigest != bare.LatencyDigest {
-			t.Errorf("%s: recorded latency digest %016x != unrecorded %016x",
-				name, recorded.LatencyDigest, bare.LatencyDigest)
+		for _, ref := range CellRefs(QuickTests(), false) {
+			recorded := recordCell(s, ref, nil)
+			bare := runCellRef(s, ref, nil)
+			if recorded.digest != bare.digest {
+				t.Errorf("%s cell %s: recorded digest %016x != unrecorded %016x",
+					name, ref, recorded.digest, bare.digest)
+			}
+			if recorded.latPart != bare.latPart {
+				t.Errorf("%s cell %s: recorded latency part %016x != unrecorded %016x",
+					name, ref, recorded.latPart, bare.latPart)
+			}
+			if recorded.decCount == 0 && ref.Bench == "mach" && name == "daemon-crash" {
+				t.Errorf("%s cell %s: recorder consulted no decisions", name, ref)
+			}
 		}
 	}
 }

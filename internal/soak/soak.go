@@ -17,11 +17,11 @@ package soak
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/lmbench"
-	"repro/internal/replay"
 	"repro/internal/runner"
 	"repro/internal/services"
 	"repro/internal/trace"
@@ -218,12 +218,6 @@ type Options struct {
 	Full bool
 	// Tests selects the lmbench subset; nil means the full battery.
 	Tests []lmbench.Test
-	// NoRecord disables per-cell scheduler-decision recording. Recording
-	// is on by default so every failing cell arrives with a one-command
-	// replay artifact; the canonical run's choice log is empty (the
-	// Recorder takes every canonical choice), so recording cannot change
-	// results — only failure diagnostics.
-	NoRecord bool
 	// ArtifactDir is where failing cells' replay artifacts are written;
 	// "" means the host temp dir.
 	ArtifactDir string
@@ -255,9 +249,9 @@ type Result struct {
 	// and `cider stats`-style tooling.
 	Counters map[string]uint64
 	// Findings are hard invariant violations: deadlocks and leaks.
-	// Empty findings means the schedule passed. When recording is on
-	// (the default), each failing cell's findings are followed by a
-	// "reproduce with: cider replay <path>" line naming its artifact.
+	// Empty findings means the schedule passed. Each failing cell's
+	// findings are followed by a "reproduce with: cider replay <path>"
+	// line naming its artifact.
 	Findings []string
 	// Artifacts lists the replay artifact files written for failing
 	// cells, in cell order.
@@ -269,18 +263,7 @@ func (r *Result) Err() error {
 	if len(r.Findings) == 0 {
 		return nil
 	}
-	return fmt.Errorf("soak: %s: %d finding(s):\n  %s", r.Schedule, len(r.Findings), joinIndent(r.Findings))
-}
-
-func joinIndent(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += s
-	}
-	return out
+	return fmt.Errorf("soak: %s: %d finding(s):\n  %s", r.Schedule, len(r.Findings), strings.Join(r.Findings, "\n  "))
 }
 
 // RunSchedule runs one schedule's battery set and audits the invariants.
@@ -290,42 +273,33 @@ func joinIndent(ss []string) string {
 // sharded across opts.Jobs host workers and merged in canonical cell
 // order, so the schedule digest is a fold of per-cell digests and any
 // single cell can be re-executed (or replayed from an artifact)
-// bit-identically on its own. Unless opts.NoRecord is set, each cell
-// records its scheduler decisions, and any cell with findings emits a
-// replay artifact whose path is appended to the findings.
+// bit-identically on its own. Each cell records its scheduler decisions
+// (the canonical schedule's choice log is empty, so recording cannot
+// change results), and any cell with findings emits a replay artifact
+// whose path is appended to the findings.
 func RunSchedule(s Schedule, opts Options) *Result {
-	tests := opts.Tests
-	if tests == nil {
-		tests = lmbench.AllTests()
-	}
 	res := &Result{Schedule: s.Name}
-	refs := CellRefs(tests, opts.Full)
+	refs := CellRefs(opts.Tests, opts.Full)
 	outcomes, _ := runner.Map(len(refs), opts.Jobs, func(i int) (cellOutcome, error) {
-		if opts.NoRecord {
-			return runCellRef(s, refs[i], nil), nil
-		}
-		rec := replay.NewRecorder(nil)
-		o := runCellRef(s, refs[i], rec)
-		o.fromRecorder(rec)
-		return o, nil
+		return recordCell(s, refs[i], nil), nil
 	})
-	res.merge(s, refs, outcomes, opts, 0)
+	res.merge(s, outcomes, opts.ArtifactDir)
 	return res
 }
 
 // merge folds per-cell outcomes (in canonical order) into the Result
-// and emits replay artifacts for failing cells.
-func (r *Result) merge(s Schedule, refs []replay.CellRef, outcomes []cellOutcome, opts Options, exploreSeed uint64) {
-	d := newDigest()
-	d.str(s.Name)
-	d.u64(s.Plan.Seed)
-	ld := newDigest()
+// and emits replay artifacts for failing cells into artifactDir.
+func (r *Result) merge(s Schedule, outcomes []cellOutcome, artifactDir string) {
+	d := fault.NewDigest()
+	d.Str(s.Name)
+	d.U64(s.Plan.Seed)
+	ld := fault.NewDigest()
 	for i := range outcomes {
 		o := &outcomes[i]
-		d.u64(uint64(i))
-		d.u64(o.digest)
+		d.U64(uint64(i))
+		d.U64(o.digest)
 		if o.latPresent {
-			ld.u64(o.latPart)
+			ld.U64(o.latPart)
 		}
 		r.Cells++
 		r.FailedCells += o.failed
@@ -339,17 +313,11 @@ func (r *Result) merge(s Schedule, refs []replay.CellRef, outcomes []cellOutcome
 			}
 		}
 		if len(o.findings) > 0 {
+			finding, path := artifactForOutcome(s, o, 0).Emit(artifactDir, "cell "+o.ref.String(), "")
 			r.Findings = append(r.Findings, o.findings...)
-			if !opts.NoRecord {
-				a := artifactForOutcome(s, o, exploreSeed)
-				path := artifactPath(opts.ArtifactDir, s.Name, o.ref, exploreSeed)
-				if werr := a.WriteFile(path); werr != nil {
-					r.Findings = append(r.Findings, fmt.Sprintf("cell %s: artifact write failed: %v", o.ref, werr))
-				} else {
-					r.Findings = append(r.Findings, fmt.Sprintf(
-						"cell %s: reproduce with: cider replay %s", o.ref, path))
-					r.Artifacts = append(r.Artifacts, path)
-				}
+			r.Findings = append(r.Findings, finding)
+			if path != "" {
+				r.Artifacts = append(r.Artifacts, path)
 			}
 		}
 	}
@@ -367,8 +335,8 @@ func (r *Result) merge(s Schedule, refs []replay.CellRef, outcomes []cellOutcome
 			"schedule %s: descriptor hogs never hit RLIMIT_NOFILE (no %s across %d cells)",
 			s.Name, trace.CounterRlimitHits, r.Cells))
 	}
-	r.Digest = d.sum()
-	r.LatencyDigest = ld.sum()
+	r.Digest = d.Sum()
+	r.LatencyDigest = ld.Sum()
 }
 
 // supervisionCounters reads one cell's launchd KeepAlive counters.
@@ -392,27 +360,27 @@ func supervisionCounters(tr *trace.Session) (crashes, respawns, throttled uint64
 // digestSession folds a trace session's event stream and counters into
 // the digest. The event ring is bounded, so this sees the tail of long
 // runs — still a deterministic function of the simulation.
-func digestSession(d *digest, tr *trace.Session) {
+func digestSession(d *fault.Digest, tr *trace.Session) {
 	if tr == nil {
-		d.str("no-trace")
+		d.Str("no-trace")
 		return
 	}
 	for _, ev := range tr.Events() {
-		d.u64(ev.Seq)
-		d.u64(uint64(ev.At))
-		d.u64(uint64(ev.Kind))
-		d.str(ev.Proc)
-		d.u64(uint64(ev.ProcID))
-		d.u64(uint64(ev.Sched))
-		d.u64(uint64(ev.Persona))
-		d.u64(uint64(ev.Sysno))
-		d.str(ev.Name)
-		d.u64(uint64(int64(ev.Errno)))
-		d.str(ev.Detail)
+		d.U64(ev.Seq)
+		d.U64(uint64(ev.At))
+		d.U64(uint64(ev.Kind))
+		d.Str(ev.Proc)
+		d.U64(uint64(ev.ProcID))
+		d.U64(uint64(ev.Sched))
+		d.U64(uint64(ev.Persona))
+		d.U64(uint64(ev.Sysno))
+		d.Str(ev.Name)
+		d.U64(uint64(int64(ev.Errno)))
+		d.Str(ev.Detail)
 	}
 	for _, c := range tr.Counters() {
-		d.str(c.Name)
-		d.u64(c.Value)
+		d.Str(c.Name)
+		d.U64(c.Value)
 	}
 }
 
@@ -434,7 +402,7 @@ func GovernanceCounters(jobs int) (map[string]uint64, error) {
 		if !ok {
 			return nil, fmt.Errorf("soak: governance schedule %q missing", name)
 		}
-		r := RunSchedule(s, Options{Jobs: jobs, Tests: tests, NoRecord: true})
+		r := RunSchedule(s, Options{Jobs: jobs, Tests: tests})
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
@@ -469,25 +437,3 @@ func VerifyDeterminism(s Schedule, jobs int, opts Options) error {
 	}
 	return nil
 }
-
-// digest is FNV-1a 64, built up incrementally over mixed-type records.
-type digest struct{ h uint64 }
-
-func newDigest() *digest { return &digest{h: 0xcbf29ce484222325} }
-
-func (d *digest) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.h ^= uint64(byte(v >> (8 * i)))
-		d.h *= 0x100000001b3
-	}
-}
-
-func (d *digest) str(s string) {
-	for i := 0; i < len(s); i++ {
-		d.h ^= uint64(s[i])
-		d.h *= 0x100000001b3
-	}
-	d.u64(uint64(len(s)))
-}
-
-func (d *digest) sum() uint64 { return d.h }
