@@ -69,7 +69,7 @@ type Divergence struct {
 	// Minimized is the reduced program's text when minimization ran.
 	Minimized string
 	// Artifact is the replay artifact path for this seed's recorded
-	// schedule, when recording was on.
+	// schedule ("" if writing it failed).
 	Artifact string
 }
 
