@@ -121,7 +121,7 @@ func TestGoldenDiffcheckDigests(t *testing.T) {
 	}
 	got := fmt.Sprintf("report %s explore %016x runs=%d decisions=%d perturbed=%d findings=%d",
 		shortHash(r.Text()), x.Digest, x.PairRuns, x.Decisions, x.Perturbed, len(x.Findings))
-	const want = "report 23dd7e65376fbedf explore 9392b3dd0450e4fb runs=48 decisions=5 perturbed=4 findings=0"
+	const want = "report 23dd7e65376fbedf explore 93f1d5a432ba552b runs=48 decisions=5 perturbed=4 findings=0"
 	if got != want {
 		t.Errorf("diffcheck\n got %s\nwant %s", got, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/kernel"
@@ -188,6 +189,24 @@ func TestRegressionEDEADLKCanonical(t *testing.T) {
 	}}
 	if divs := CompareProgram(1, p, plan); len(divs) > 0 {
 		t.Fatalf("EDEADLK injection diverges across personas:\n%v", divs[0])
+	}
+}
+
+// TestRegressionInjectionsCompared — cells armed their injector without
+// trace wiring, so an injection that changes no result (a pure delay)
+// fired on one persona unseen. A delay on the Android getpid alone must
+// now diverge on the normalized event stream.
+func TestRegressionInjectionsCompared(t *testing.T) {
+	p := &Program{Seed: 1, Ops: []Op{{Kind: opGetPID}}}
+	plan := fault.Plan{Name: "asym-delay", Seed: 1, Rules: []fault.Rule{
+		{Op: fault.OpSyscall, Match: "android/getpid", Delay: time.Millisecond, Nth: 1},
+	}}
+	divs := CompareProgram(1, p, plan)
+	if len(divs) == 0 {
+		t.Fatal("an Android-only injection left no trace: injections are not compared")
+	}
+	if divs[0].Class != "events" && divs[0].Class != "counter" {
+		t.Fatalf("unexpected first divergence: %v", divs[0])
 	}
 }
 
