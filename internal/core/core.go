@@ -367,6 +367,32 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 	return sys, nil
 }
 
+// NewMinimalCider boots the bare Cider kernel the harness cells run
+// their purpose-built programs on: an empty root filesystem, the Linux
+// and XNU syscall tables, Mach IPC over duct tape, and the ELF loader —
+// no filesystem images, dyld, graphics, devices or services. AndroidFS
+// and IOSFS stay nil, so EnableFaults attaches no vfs hook; binaries go
+// straight into the root (Kernel.Root).
+func NewMinimalCider() (*System, error) {
+	s := sim.New()
+	reg := prog.NewRegistry()
+	k, err := kernel.New(s, kernel.Config{
+		Profile: kernel.ProfileCider, Device: hw.Nexus7(), Root: vfs.New(), Registry: reg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	sys := &System{Config: ConfigCider, Sim: s, Kernel: k, Registry: reg}
+	k.InstallLinuxTable()
+	abi.InstallXNUTable(k)
+	sys.DT = ducttape.NewEnv(k)
+	if sys.IPC, err = xnu.InstallIPC(k, sys.DT); err != nil {
+		return nil, err
+	}
+	k.RegisterBinFmt(&kernel.ELFLoader{})
+	return sys, nil
+}
+
 // assembleDevices wires the Section 6.4 device story: the Android-side
 // GPS/camera hardware and HAL libraries always exist; the iOS-facing
 // CoreLocation/AVFoundation entry points are prototype-faithful stubs on

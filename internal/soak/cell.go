@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ducttape"
 	"repro/internal/fault"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/lmbench"
 	"repro/internal/passmark"
@@ -21,27 +19,87 @@ import (
 )
 
 // CellRefs enumerates a schedule's cells in canonical order: the
-// lmbench cells (configurations in paper order, tests in battery order
-// within each), the per-configuration passmark cells when full, then
-// the Mach IPC cell. Every soak digest, report and artifact indexes
-// cells in this order, which is what lets a single cell re-execute in
-// isolation: each cell is an independent System, so cell i's digest is
-// the same whether its siblings ran or not.
+// battery cells (see batteryCells), then the Mach IPC cell. Every soak
+// digest, report and artifact indexes cells in this order, which is what
+// lets a single cell re-execute in isolation: each cell is an
+// independent System, so cell i's digest is the same whether its
+// siblings ran or not.
 func CellRefs(tests []lmbench.Test, full bool) []replay.CellRef {
+	var refs []replay.CellRef
+	for _, c := range batteryCells(tests, full) {
+		refs = append(refs, c.ref)
+	}
+	return append(refs, replay.CellRef{Bench: "mach"})
+}
+
+// batteryCell is one Fig. 5 (lmbench) or Fig. 6 (passmark) cell.
+type batteryCell struct {
+	ref replay.CellRef
+	// lm is the lmbench cell, pm the passmark configuration; ref.Bench
+	// says which one is set.
+	lm lmbench.Cell
+	pm passmark.Configuration
+}
+
+// batteryCells enumerates the battery cells in canonical order: the
+// lmbench cells (configurations in paper order, tests in battery order
+// within each; nil tests means the full battery), then, when full, the
+// per-configuration passmark cells.
+func batteryCells(tests []lmbench.Test, full bool) []batteryCell {
 	if tests == nil {
 		tests = lmbench.AllTests()
 	}
-	var refs []replay.CellRef
+	var cells []batteryCell
 	for _, c := range lmbench.Cells(tests) {
-		refs = append(refs, replay.CellRef{Bench: "lmbench", Config: c.Config.Name, Test: c.Test.Name})
+		cells = append(cells, batteryCell{
+			ref: replay.CellRef{Bench: "lmbench", Config: c.Config.Name, Test: c.Test.Name},
+			lm:  c,
+		})
 	}
 	if full {
 		for _, conf := range passmark.Configurations() {
-			refs = append(refs, replay.CellRef{Bench: "passmark", Config: conf.Name})
+			cells = append(cells, batteryCell{ref: replay.CellRef{Bench: "passmark", Config: conf.Name}, pm: conf})
 		}
 	}
-	refs = append(refs, replay.CellRef{Bench: "mach"})
-	return refs
+	return cells
+}
+
+// fig5 reports an lmbench cell: only those boot the schedule's
+// Services, Pressure and FDHog workloads and feed the latency digest.
+func (c *batteryCell) fig5() bool { return c.ref.Bench == "lmbench" }
+
+// run boots the cell's configuration through its battery's RunWith,
+// with arm as the boot hook, and folds the results into the cell
+// digest d and, on lmbench cells, the latency digest ld. It returns how
+// many measurements failed; a run error folds nothing.
+func (c *batteryCell) run(arm func(*core.System), d, ld *fault.Digest) (failed int, err error) {
+	if c.fig5() {
+		rs, err := lmbench.RunWith(c.lm.Config, []lmbench.Test{c.lm.Test}, arm)
+		for _, r := range rs {
+			mark := uint64(0)
+			if r.Failed {
+				mark = 1
+				failed++
+			}
+			for _, x := range [...]*fault.Digest{d, ld} {
+				x.U64(uint64(r.Latency))
+				x.U64(mark)
+			}
+		}
+		return failed, err
+	}
+	rs, err := passmark.RunWith(c.pm, passmark.AllTests(), arm)
+	for _, r := range rs {
+		mark := uint64(0)
+		if r.Err != nil {
+			mark = 1
+			failed++
+		}
+		d.Str(r.Test)
+		d.U64(uint64(int64(r.Score * 1e6)))
+		d.U64(mark)
+	}
+	return failed, err
 }
 
 // CellReport is one cell's replay-facing outcome summary.
@@ -91,15 +149,16 @@ func (o *cellOutcome) report() *CellReport {
 // installed as the cell System's scheduler Decider (recording, replay,
 // or exploration); the caller owns reading any recording back out.
 func runCellRef(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome {
-	switch ref.Bench {
-	case "lmbench":
-		return runLmbenchCell(s, ref, dec)
-	case "passmark":
-		return runPassmarkCell(s, ref, dec)
-	case "mach":
+	if ref.Bench == "mach" {
 		return runMachCell(s, dec)
 	}
-	return cellOutcome{ref: ref, findings: []string{fmt.Sprintf("unknown cell bench %q", ref.Bench)}}
+	cells := batteryCells(nil, true)
+	for i := range cells {
+		if cells[i].ref == ref {
+			return runBatteryCell(s, &cells[i], dec)
+		}
+	}
+	return cellOutcome{ref: ref, findings: []string{fmt.Sprintf("cell %s: unknown cell", ref)}}
 }
 
 // recordCell runs one cell under a Recorder wrapping inner (nil for the
@@ -123,22 +182,24 @@ func (o *cellOutcome) outcome() replay.Outcome {
 	return out
 }
 
-// auditSystem folds one booted System's post-run state into the
-// outcome: injection counts, the trace stream, supervision accounting,
-// and the kernel leak check.
+// auditSystem is every cell's last step: it folds one armed System's
+// post-run state into the outcome: injection counts, the trace stream,
+// supervision accounting, and the kernel leak check.
 func (o *cellOutcome) auditSystem(d *fault.Digest, s Schedule, sys *core.System) {
-	if sys.Fault != nil {
-		o.injected += sys.Fault.Fired()
-		d.U64(sys.Fault.Fired())
-	}
-	digestSession(d, sys.Trace)
-	o.collectCounters(sys.Trace)
-	if crashes, respawns, throttled := supervisionCounters(sys.Trace); crashes > respawns+throttled+1 {
+	o.injected += sys.Fault.Fired()
+	d.U64(sys.Fault.Fired())
+	tr := sys.Trace
+	digestSession(d, tr)
+	o.collectCounters(tr)
+	crashes := tr.Counter(trace.CounterLaunchdCrashes)
+	respawns := tr.Counter(trace.CounterLaunchdRespawns)
+	throttled := tr.Counter(trace.CounterLaunchdThrottled)
+	if crashes > respawns+throttled+1 {
 		o.findings = append(o.findings, fmt.Sprintf(
 			"cell %s: supervision lost services: %d crashes vs %d respawns + %d throttled",
 			o.ref, crashes, respawns, throttled))
 	}
-	if s.Pressure && sys.Kernel != nil {
+	if s.Pressure {
 		// The foreground-survival invariant: however hard the storm blows,
 		// jetsam must exhaust the idle, daemon and background bands before
 		// it ever touches a foreground task — and the pressure schedules
@@ -157,9 +218,6 @@ func (o *cellOutcome) auditSystem(d *fault.Digest, s Schedule, sys *core.System)
 }
 
 func (o *cellOutcome) collectCounters(tr *trace.Session) {
-	if tr == nil {
-		return
-	}
 	if o.counters == nil {
 		o.counters = map[string]uint64{}
 	}
@@ -168,44 +226,27 @@ func (o *cellOutcome) collectCounters(tr *trace.Session) {
 	}
 }
 
-func lmbenchConfByName(name string) (lmbench.Configuration, bool) {
-	for _, c := range lmbench.Configurations() {
-		if c.Name == name {
-			return c, true
-		}
+// runBatteryCell runs one battery cell under the schedule: boot its
+// configuration, arm it (plus the schedule's extra workloads on lmbench
+// cells), run the benchmark, fold the results, and audit the System.
+func runBatteryCell(s Schedule, c *batteryCell, dec sim.Decider) cellOutcome {
+	o := cellOutcome{ref: c.ref, latPresent: c.fig5()}
+	d, ld := fault.NewDigest(), fault.NewDigest()
+	d.Str(c.ref.Bench)
+	d.Str(c.ref.Config)
+	if c.fig5() {
+		d.Str(c.ref.Test)
 	}
-	return lmbench.Configuration{}, false
-}
-
-func lmbenchTestByName(name string) (lmbench.Test, bool) {
-	for _, t := range lmbench.AllTests() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return lmbench.Test{}, false
-}
-
-func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome {
-	o := cellOutcome{ref: ref, latPresent: true}
-	d := fault.NewDigest()
-	d.Str("lmbench")
-	d.Str(ref.Config)
-	d.Str(ref.Test)
-	ld := fault.NewDigest()
-	ld.Str(ref.Test)
-
-	conf, okC := lmbenchConfByName(ref.Config)
-	test, okT := lmbenchTestByName(ref.Test)
-	if !okC || !okT {
-		o.findings = append(o.findings, fmt.Sprintf("cell %s: unknown lmbench config/test", ref))
-		o.digest, o.latPart = d.Sum(), ld.Sum()
-		return o
-	}
+	ld.Str(c.ref.Test)
 	var sys *core.System
-	rs, err := lmbench.RunWith(conf, []lmbench.Test{test}, func(y *core.System) {
+	failed, err := c.run(func(y *core.System) {
+		sys = y
 		y.EnableTrace()
 		y.EnableFaults(s.Plan)
+		y.Sim.SetDecider(dec)
+		if !c.fig5() {
+			return
+		}
 		if s.Services {
 			bootCellServices(y)
 		}
@@ -215,31 +256,10 @@ func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome
 		if s.FDHog {
 			bootCellFDHog(y)
 		}
-		if dec != nil {
-			y.Sim.SetDecider(dec)
-		}
-		sys = y
-	})
+	}, d, ld)
+	o.failed = failed
 	if err != nil {
-		d.Str("err:" + err.Error())
-		ld.Str("err:" + err.Error())
-		var dl *sim.ErrDeadlock
-		if errors.As(err, &dl) {
-			o.findings = append(o.findings, fmt.Sprintf("cell %s deadlocked under %q: %v", ref, s.Name, dl.Report()))
-		}
-	} else {
-		for _, r := range rs {
-			d.U64(uint64(r.Latency))
-			ld.U64(uint64(r.Latency))
-			if r.Failed {
-				d.U64(1)
-				ld.U64(1)
-				o.failed++
-			} else {
-				d.U64(0)
-				ld.U64(0)
-			}
-		}
+		o.runFailed(s, err, d, ld)
 	}
 	if sys != nil {
 		o.auditSystem(d, s, sys)
@@ -248,57 +268,16 @@ func runLmbenchCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome
 	return o
 }
 
-func runPassmarkCell(s Schedule, ref replay.CellRef, dec sim.Decider) cellOutcome {
-	o := cellOutcome{ref: ref}
-	d := fault.NewDigest()
-	d.Str("passmark")
-	d.Str(ref.Config)
-
-	var conf passmark.Configuration
-	found := false
-	for _, c := range passmark.Configurations() {
-		if c.Name == ref.Config {
-			conf, found = c, true
-			break
-		}
-	}
-	if !found {
-		o.findings = append(o.findings, fmt.Sprintf("cell %s: unknown passmark config", ref))
-		o.digest = d.Sum()
-		return o
-	}
-	var sys *core.System
-	rs, err := passmark.RunWith(conf, passmark.AllTests(), func(y *core.System) {
-		y.EnableTrace()
-		y.EnableFaults(s.Plan)
-		if dec != nil {
-			y.Sim.SetDecider(dec)
-		}
-		sys = y
-	})
-	if err != nil {
+// runFailed folds a cell's run error into its digests and reports a
+// deadlock as a finding.
+func (o *cellOutcome) runFailed(s Schedule, err error, ds ...*fault.Digest) {
+	for _, d := range ds {
 		d.Str("err:" + err.Error())
-		var dl *sim.ErrDeadlock
-		if errors.As(err, &dl) {
-			o.findings = append(o.findings, fmt.Sprintf("cell %s deadlocked under %q: %v", ref, s.Name, dl.Report()))
-		}
-	} else {
-		for _, r := range rs {
-			d.Str(r.Test)
-			d.U64(uint64(int64(r.Score * 1e6)))
-			if r.Err != nil {
-				d.U64(1)
-				o.failed++
-			} else {
-				d.U64(0)
-			}
-		}
 	}
-	if sys != nil {
-		o.auditSystem(d, s, sys)
+	var dl *sim.ErrDeadlock
+	if errors.As(err, &dl) {
+		o.findings = append(o.findings, fmt.Sprintf("cell %s deadlocked under %q: %v", o.ref, s.Name, dl.Report()))
 	}
-	o.digest = d.Sum()
-	return o
 }
 
 // runMachCell drives a purpose-built Mach IPC workload under the
@@ -316,37 +295,15 @@ func runMachCell(s Schedule, dec sim.Decider) (o cellOutcome) {
 	// the caller sees, on every return path below.
 	defer func() { o.digest = d.Sum() }()
 
-	sm := sim.New()
-	k, err := kernel.New(sm, kernel.Config{
-		Profile: kernel.ProfileCider, Device: hw.Nexus7(),
-		Root: vfs.New(), Registry: prog.NewRegistry(),
-	})
+	sys, err := core.NewMinimalCider()
 	if err != nil {
-		o.findings = append(o.findings, fmt.Sprintf("mach cell: boot: %v", err))
+		o.findings = append(o.findings, fmt.Sprintf("cell %s: boot: %v", o.ref, err))
 		return o
 	}
-	k.InstallLinuxTable()
-	k.RegisterBinFmt(&kernel.ELFLoader{})
-	ipc, err := xnu.InstallIPC(k, ducttape.NewEnv(k))
-	if err != nil {
-		o.findings = append(o.findings, fmt.Sprintf("mach cell: ipc: %v", err))
-		return o
-	}
-	tr := trace.NewSession("mach-cell")
-	sm.SetSink(tr)
-	k.SetTracer(tr)
-	if dec != nil {
-		sm.SetDecider(dec)
-	}
-	in := fault.NewInjector(s.Plan)
-	in.OnInject = func(op fault.Op, key string, out fault.Outcome, now time.Duration) {
-		proc, id := "", 0
-		if cur := sm.Current(); cur != nil {
-			proc, id = cur.Name(), cur.ID()
-		}
-		tr.Fault(proc, id, op.String(), key, out.Errno, now)
-	}
-	k.EnableFaults(in)
+	sys.EnableTrace()
+	sys.EnableFaults(s.Plan)
+	sys.Sim.SetDecider(dec)
+	ipc := sys.IPC
 
 	const msgs = 48
 	const tick = 100 * time.Microsecond
@@ -356,18 +313,14 @@ func runMachCell(s Schedule, dec sim.Decider) (o cellOutcome) {
 	ready := sim.NewWaitQueue("soak-ready")
 
 	spawn := func(key string, body func(*kernel.Thread)) error {
-		k.Registry().MustRegister(key, func(c *prog.Call) uint64 {
+		sys.Registry.MustRegister(key, func(c *prog.Call) uint64 {
 			body(c.Ctx.(*kernel.Thread))
 			return 0
 		})
-		bin, berr := prog.StaticELF(key)
-		if berr != nil {
-			return berr
+		if ierr := prog.InstallStatic(sys.Kernel.Root().(*vfs.FS), "/bin/"+key, key); ierr != nil {
+			return ierr
 		}
-		if werr := k.Root().(*vfs.FS).WriteFile("/bin/"+key, bin); werr != nil {
-			return werr
-		}
-		_, serr := k.StartProcess("/bin/"+key, nil)
+		_, serr := sys.Start("/bin/"+key, nil)
 		return serr
 	}
 
@@ -452,39 +405,26 @@ func runMachCell(s Schedule, dec sim.Decider) (o cellOutcome) {
 		o.findings = append(o.findings, fmt.Sprintf("mach cell: spawn: %v", err))
 		return o
 	}
-	if rerr := sm.Run(); rerr != nil {
-		d.Str("mach-err:" + rerr.Error())
-		var dl *sim.ErrDeadlock
-		if errors.As(rerr, &dl) {
-			o.findings = append(o.findings, fmt.Sprintf("mach cell deadlocked under %q: %v", s.Name, dl.Report()))
-		}
-		return o
-	}
-	if s.Name == "clean" {
+	if rerr := sys.Run(); rerr != nil {
+		o.runFailed(s, rerr, d)
+	} else {
 		// Without faults the workload must complete perfectly; under
 		// injection partial completion is the point.
-		if sent != msgs || received != msgs || !notified {
+		if s.Name == "clean" && (sent != msgs || received != msgs || !notified) {
 			o.findings = append(o.findings, fmt.Sprintf(
 				"mach cell: clean run incomplete: sent=%d received=%d notified=%v", sent, received, notified))
 		}
+		d.U64(sent)
+		d.U64(received)
+		d.U64(retries)
+		d.U64(gaveUp)
+		if notified {
+			d.U64(1)
+		} else {
+			d.U64(0)
+		}
 	}
-	d.U64(sent)
-	d.U64(received)
-	d.U64(retries)
-	d.U64(gaveUp)
-	if notified {
-		d.U64(1)
-	} else {
-		d.U64(0)
-	}
-	fired := in.Fired()
-	o.injected += fired
-	d.U64(fired)
-	digestSession(d, tr)
-	o.collectCounters(tr)
-	if lerr := k.LeakCheck(); lerr != nil {
-		o.findings = append(o.findings, fmt.Sprintf("mach cell (%s): %v", s.Name, lerr))
-	}
+	o.auditSystem(d, s, sys)
 	return o
 }
 

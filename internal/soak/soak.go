@@ -35,19 +35,21 @@ type Schedule struct {
 	Desc string
 	// Plan is the seeded fault plan armed on every cell's System.
 	Plan fault.Plan
-	// Services boots the launchd service tree in every cell that has an
-	// iOS layer and runs a Mach service client app alongside the
+	// Services boots the launchd service tree in every lmbench cell that
+	// has an iOS layer and runs a Mach service client app alongside the
 	// benchmark, so crash schedules have daemons to kill, a supervisor
-	// to respawn them, and stranded clients to recover.
+	// to respawn them, and stranded clients to recover. Like Pressure
+	// and FDHog, it boots nothing in passmark or mach cells.
 	Services bool
-	// Pressure boots the memory-balloon workloads alongside the benchmark:
-	// band-assigned processes that inflate their footprint round by round,
-	// register pressure listeners on both personas, and shed cache chunks
-	// when notified — the OpMemPressure rules storm them by path.
+	// Pressure boots the memory-balloon workloads alongside the lmbench
+	// benchmark: band-assigned processes that inflate their footprint
+	// round by round, register pressure listeners on both personas, and
+	// shed cache chunks when notified — the OpMemPressure rules storm
+	// them by path.
 	Pressure bool
-	// FDHog boots the descriptor-exhaustion apps: one per persona, each
-	// lowering its own RLIMIT_NOFILE and driving the fd table into EMFILE
-	// and back out, leak-free.
+	// FDHog boots the descriptor-exhaustion apps in lmbench cells: one
+	// per persona, each lowering its own RLIMIT_NOFILE and driving the
+	// fd table into EMFILE and back out, leak-free.
 	FDHog bool
 }
 
@@ -339,32 +341,10 @@ func (r *Result) merge(s Schedule, outcomes []cellOutcome, artifactDir string) {
 	r.LatencyDigest = ld.Sum()
 }
 
-// supervisionCounters reads one cell's launchd KeepAlive counters.
-func supervisionCounters(tr *trace.Session) (crashes, respawns, throttled uint64) {
-	if tr == nil {
-		return 0, 0, 0
-	}
-	for _, c := range tr.Counters() {
-		switch c.Name {
-		case trace.CounterLaunchdCrashes:
-			crashes = c.Value
-		case trace.CounterLaunchdRespawns:
-			respawns = c.Value
-		case trace.CounterLaunchdThrottled:
-			throttled = c.Value
-		}
-	}
-	return crashes, respawns, throttled
-}
-
 // digestSession folds a trace session's event stream and counters into
 // the digest. The event ring is bounded, so this sees the tail of long
 // runs — still a deterministic function of the simulation.
 func digestSession(d *fault.Digest, tr *trace.Session) {
-	if tr == nil {
-		d.Str("no-trace")
-		return
-	}
 	for _, ev := range tr.Events() {
 		d.U64(ev.Seq)
 		d.U64(uint64(ev.At))

@@ -24,7 +24,7 @@ const svcClientPath = "/bin/soak-svc-client"
 // reachable on the quick battery.
 const svcClientRounds = 40
 
-// bootCellServices boots the launchd service tree in one battery cell and
+// bootCellServices boots the launchd service tree in one lmbench cell and
 // starts the service client app next to the benchmark process. Cells
 // without an iOS layer (vanilla Android) have no services and are left
 // alone. Failures are deliberately tolerated: a cell that cannot boot
