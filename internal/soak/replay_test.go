@@ -6,74 +6,6 @@ import (
 	"repro/internal/replay"
 )
 
-// TestRecordReplayBitIdentical is the tentpole criterion: for every
-// schedule in the soak matrix, every quick-battery cell records to an
-// artifact that — after a full encode/decode round trip through the
-// file format — replays to the exact same digest, decision count, and
-// findings in isolation.
-func TestRecordReplayBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	for _, s := range Schedules() {
-		refs := CellRefs(QuickTests(), false)
-		for i, ref := range refs {
-			a, rec := RecordCell(s, ref, nil, 0)
-			path := a.Path(dir)
-			if err := a.WriteFile(path); err != nil {
-				t.Fatal(err)
-			}
-			b, err := replay.Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := ReplayCell(b)
-			if err != nil {
-				t.Fatalf("%s cell %s: %v", s.Name, ref, err)
-			}
-			if rep.Digest != rec.Digest {
-				t.Errorf("%s cell %d %s: replayed digest %016x, recorded %016x",
-					s.Name, i, ref, rep.Digest, rec.Digest)
-			}
-			if rep.DecisionCount != rec.DecisionCount {
-				t.Errorf("%s cell %s: replayed %d decisions, recorded %d",
-					s.Name, ref, rep.DecisionCount, rec.DecisionCount)
-			}
-			if len(rep.Findings) != len(rec.Findings) {
-				t.Errorf("%s cell %s: replayed findings %v, recorded %v",
-					s.Name, ref, rep.Findings, rec.Findings)
-			}
-		}
-	}
-}
-
-// TestRecordingDoesNotChangeDigest pins the canonical-equivalence
-// property recording-by-default rests on: every cell run under a
-// canonical Recorder produces the same digest and latency part as the
-// same cell run with no Decider at all. The decision-heavy daemon-crash
-// schedule is the interesting case; clean is the control.
-func TestRecordingDoesNotChangeDigest(t *testing.T) {
-	for _, name := range []string{"clean", "daemon-crash"} {
-		s, ok := ScheduleByName(name)
-		if !ok {
-			t.Fatalf("schedule %s missing", name)
-		}
-		for _, ref := range CellRefs(QuickTests(), false) {
-			recorded := recordCell(s, ref, nil)
-			bare := runCellRef(s, ref, nil)
-			if recorded.digest != bare.digest {
-				t.Errorf("%s cell %s: recorded digest %016x != unrecorded %016x",
-					name, ref, recorded.digest, bare.digest)
-			}
-			if recorded.latPart != bare.latPart {
-				t.Errorf("%s cell %s: recorded latency part %016x != unrecorded %016x",
-					name, ref, recorded.latPart, bare.latPart)
-			}
-			if recorded.decCount == 0 && ref.Bench == "mach" && name == "daemon-crash" {
-				t.Errorf("%s cell %s: recorder consulted no decisions", name, ref)
-			}
-		}
-	}
-}
-
 // TestExploreDeterministic pins the explorer-determinism criterion:
 // the same (schedule, rounds) exploration yields the same digest,
 // decision totals, and findings on every run — and at any jobs level.
