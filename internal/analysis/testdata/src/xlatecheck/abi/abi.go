@@ -102,3 +102,20 @@ func RlimitReverseBad(t *kernel.Thread) {
 func RlimitInfinityFree(t *kernel.Thread) {
 	t.Syscall(XNUSetrlimit, kernel.RLimInfinity)
 }
+
+// h1 feeds x into a Linux trap and h2 into an XNU trap, so g's x serves
+// both personas and f inherits that from g. A visit that sees h1's
+// requirement before h2's must not leave f stuck on Linux: Use is clean
+// in every order.
+func h1(t *kernel.Thread, x int) { t.Syscall(kernel.SysOpen, uint64(x)) }
+
+func h2(t *kernel.Thread, x int) { t.Syscall(XNUKillTrap, uint64(x)) }
+
+func g(t *kernel.Thread, x int) {
+	h1(t, x)
+	h2(t, x)
+}
+
+func f(t *kernel.Thread, y int) { g(t, y) }
+
+func Use(t *kernel.Thread) { f(t, XNUOCreat) }
