@@ -62,3 +62,36 @@ func order2(p *sim.Proc, a *A, b *B) {
 	a.mu.Unlock(p)
 	b.mu.Unlock(p)
 }
+
+// Three lock classes: HoldA orders a before b and c through takeBC,
+// takeBC and BthenC order b before c, and CthenA closes the loop. Both a→b→c→a and
+// a→c→a are cycles; edges leave a lock in sorted order, so the longer one
+// is the one reported.
+type S struct{ a, b, c sim.LckMtx }
+
+func takeBC(p *sim.Proc, s *S) {
+	s.b.Lock(p)
+	s.c.Lock(p)
+	s.c.Unlock(p)
+	s.b.Unlock(p)
+}
+
+func HoldA(p *sim.Proc, s *S) {
+	s.a.Lock(p)
+	takeBC(p, s)
+	s.a.Unlock(p)
+}
+
+func BthenC(p *sim.Proc, s *S) {
+	s.b.Lock(p)
+	s.c.Lock(p)
+	s.c.Unlock(p)
+	s.b.Unlock(p)
+}
+
+func CthenA(p *sim.Proc, s *S) {
+	s.c.Lock(p)
+	s.a.Lock(p) // want `lockorder: lock-order cycle: S\.a → S\.b → S\.c → S\.a`
+	s.a.Unlock(p)
+	s.c.Unlock(p)
+}
