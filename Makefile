@@ -21,7 +21,7 @@ lint:
 # want-annotated fixture suites prove each analyzer still fires on its
 # known-bad shapes (a regression here means the tree gate is toothless).
 lint-fixtures:
-	$(GO) test -count=1 -run 'TestWallclock|TestChargeCheck|TestWakeTag|TestTracePure|TestTableComplete|TestXlateCheck|TestLockOrder|TestHotAlloc|TestDirectives' ./internal/analysis
+	$(GO) test -count=1 -run 'TestWallclock|TestChargeCheck|TestWakeTag|TestTracePure|TestTableComplete|TestXlateCheck|TestLockOrder|TestHotAlloc|TestDirectives|TestAnalyzersDeterministic' ./internal/analysis
 
 test:
 	$(GO) test ./...

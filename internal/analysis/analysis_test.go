@@ -47,6 +47,36 @@ func TestDirectives(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.All(), "directives/...")
 }
 
+// TestAnalyzersDeterministic reloads the interprocedural fixture trees and
+// reruns the whole suite many times: Go randomizes map iteration on every
+// range, so a fact or finding that depends on visit order shows up as a
+// second distinct output within a few loads.
+func TestAnalyzersDeterministic(t *testing.T) {
+	const loads = 100
+	var first string
+	for i := 0; i < loads; i++ {
+		prog, err := analysis.Load(analysis.LoadConfig{Dir: "testdata/src"},
+			"xlatecheck/...", "hotalloc/...", "lockorder/...")
+		if err != nil {
+			t.Fatalf("loading fixtures: %v", err)
+		}
+		diags, err := analysis.Run(prog, analysis.All())
+		if err != nil {
+			t.Fatalf("running suite: %v", err)
+		}
+		var b strings.Builder
+		for _, d := range diags {
+			b.WriteString(d.String())
+			b.WriteByte('\n')
+		}
+		if i == 0 {
+			first = b.String()
+		} else if got := b.String(); got != first {
+			t.Fatalf("load %d differs from load 0:\n--- load 0\n%s--- load %d\n%s", i, first, i, got)
+		}
+	}
+}
+
 // TestAnalysisSelfCheck pins the analysis machinery itself (and the
 // diffcheck oracle it mirrors policy with) to zero findings: the linter
 // must hold its own code to the invariants it enforces, and a stale or
