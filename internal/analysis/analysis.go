@@ -84,10 +84,14 @@ type Package struct {
 	Lint bool
 }
 
-// A Program is the full set of loaded packages plus shared indices, so
-// analyzers can resolve calls across package boundaries (chargecheck's
-// may-charge fixpoint and tracepure's reachability both need whole-program
-// call resolution).
+// A Program is the full set of loaded packages plus the shared
+// whole-program indices: a function lookup and the static call graph over
+// every loaded function with a body. Every interprocedural fact
+// (chargecheck's may-charge set, hotalloc's allocation witnesses,
+// lockorder's may-block and acquired-lock sets, xlatecheck's parameter
+// domains) is computed by the one worklist solver over that graph, and
+// tracepure's reachability walks it, so no finding depends on map
+// iteration order.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package // sorted by Path
@@ -96,14 +100,32 @@ type Program struct {
 	// funcDecls maps a function/method object to its syntax and owning
 	// package, for whole-program body lookups.
 	funcDecls map[*types.Func]*FuncSource
+	// funcs are the call graph's nodes: the loaded functions that have a
+	// body, in source order.
+	funcs []*FuncSource
 	// facts caches whole-program computations keyed by analyzer.
 	facts map[string]any
 }
 
-// FuncSource is a function's declaration site.
+// FuncSource is a function's declaration site and, when it has a body,
+// its node in the call graph.
 type FuncSource struct {
+	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
+	// Calls are the body's call sites in source order, including those
+	// inside func literals.
+	Calls []CallSite
+	// callers are the functions with a call site resolving here, in
+	// source order.
+	callers []*FuncSource
+}
+
+// A CallSite is one call expression and its Callee result (nil for
+// builtins, conversions, and calls through function-typed values).
+type CallSite struct {
+	Call   *ast.CallExpr
+	Callee *types.Func
 }
 
 // PackageByPath returns the loaded package with the given import path.
@@ -131,7 +153,35 @@ func (p *Program) Fact(key string, build func() any) any {
 	return v
 }
 
-// buildIndices populates the cross-package lookup tables.
+// solve drives a monotone whole-program fact to its fixpoint. update
+// recomputes one function's fact from its call sites and the current
+// facts of its callees, and reports whether the fact changed. The first
+// sweep visits every function in source order; after that a function is
+// revisited only when one of its callees' facts changed.
+func (p *Program) solve(update func(*FuncSource) bool) {
+	queue := append([]*FuncSource(nil), p.funcs...)
+	queued := make(map[*FuncSource]bool, len(queue))
+	for _, src := range queue {
+		queued[src] = true
+	}
+	for len(queue) > 0 {
+		src := queue[0]
+		queue = queue[1:]
+		queued[src] = false
+		if !update(src) {
+			continue
+		}
+		for _, caller := range src.callers {
+			if !queued[caller] {
+				queued[caller] = true
+				queue = append(queue, caller)
+			}
+		}
+	}
+}
+
+// buildIndices populates the cross-package lookup tables and the call
+// graph.
 func (p *Program) buildIndices() {
 	p.byPath = make(map[string]*Package, len(p.Packages))
 	p.funcDecls = make(map[*types.Func]*FuncSource)
@@ -145,8 +195,32 @@ func (p *Program) buildIndices() {
 					continue
 				}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					p.funcDecls[obj] = &FuncSource{Decl: fd, Pkg: pkg}
+					src := &FuncSource{Fn: obj, Decl: fd, Pkg: pkg}
+					p.funcDecls[obj] = src
+					if fd.Body != nil {
+						p.funcs = append(p.funcs, src)
+					}
 				}
+			}
+		}
+	}
+	sort.Slice(p.funcs, func(i, j int) bool { return p.funcs[i].Decl.Pos() < p.funcs[j].Decl.Pos() })
+	for _, src := range p.funcs {
+		ast.Inspect(src.Decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				src.Calls = append(src.Calls, CallSite{Call: call, Callee: Callee(src.Pkg, call)})
+			}
+			return true
+		})
+	}
+	for _, src := range p.funcs {
+		for _, c := range src.Calls {
+			callee := p.FuncBody(c.Callee)
+			if callee == nil || callee.Decl.Body == nil {
+				continue
+			}
+			if n := len(callee.callers); n == 0 || callee.callers[n-1] != src {
+				callee.callers = append(callee.callers, src)
 			}
 		}
 	}

@@ -13,8 +13,9 @@ import (
 // the Fig. 5/6 latency decompositions.
 //
 // The analysis is interprocedural and optimistic: a whole-program
-// "may-charge" set is computed by fixpoint from the sim.Proc primitives
-// (Advance/Sleep/Park), propagated through every loaded function body.
+// "may-charge" set is computed by the shared call-graph solver from the
+// sim.Proc primitives (Advance/Sleep/Park), propagated through every
+// loaded function body.
 // Calls that cannot be resolved statically — function-typed values and
 // interface methods — are assumed to charge, so findings are
 // high-confidence: a flagged path called nothing that could possibly have
@@ -56,34 +57,28 @@ func chargeSeed(fn *types.Func) bool {
 func mayCharge(prog *Program) map[*types.Func]bool {
 	return prog.Fact(mayChargeKey, func() any {
 		set := map[*types.Func]bool{}
-		for fn := range prog.funcDecls {
-			if chargeSeed(fn) {
-				set[fn] = true
+		prog.solve(func(src *FuncSource) bool {
+			if set[src.Fn] {
+				return false
 			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for fn, src := range prog.funcDecls {
-				if set[fn] || src.Decl.Body == nil {
-					continue
-				}
-				if nodeCharges(prog, src.Pkg, src.Decl.Body, set) {
-					set[fn] = true
-					changed = true
-				}
+			charges := chargeSeed(src.Fn)
+			for _, c := range src.Calls {
+				charges = charges || callCharges(src.Pkg, c, set)
 			}
-		}
+			set[src.Fn] = charges
+			return charges
+		})
 		return set
 	}).(map[*types.Func]bool)
 }
 
 // callCharges reports whether a single call may accrue virtual time under
 // the optimistic model.
-func callCharges(prog *Program, pkg *Package, call *ast.CallExpr, set map[*types.Func]bool) bool {
-	if !IsRealCall(pkg, call) {
+func callCharges(pkg *Package, c CallSite, set map[*types.Func]bool) bool {
+	if !IsRealCall(pkg, c.Call) {
 		return false
 	}
-	fn := Callee(pkg, call)
+	fn := c.Callee
 	if fn == nil {
 		return true // function-typed value: assume it charges
 	}
@@ -92,26 +87,20 @@ func callCharges(prog *Program, pkg *Package, call *ast.CallExpr, set map[*types
 			return true // interface dispatch: assume it charges
 		}
 	}
-	if set[fn] {
-		return true
-	}
-	if chargeSeed(fn) {
-		return true
-	}
-	// Resolved concrete function whose body is loaded and known not to
+	// A resolved concrete function whose body is loaded and known not to
 	// charge, or an external (standard library) function — the standard
-	// library cannot advance virtual time.
-	return false
+	// library cannot advance virtual time — does not charge.
+	return set[fn] || chargeSeed(fn)
 }
 
 // nodeCharges reports whether any call under n may charge.
-func nodeCharges(prog *Program, pkg *Package, n ast.Node, set map[*types.Func]bool) bool {
+func nodeCharges(pkg *Package, n ast.Node, set map[*types.Func]bool) bool {
 	found := false
 	ast.Inspect(n, func(n ast.Node) bool {
 		if found {
 			return false
 		}
-		if call, ok := n.(*ast.CallExpr); ok && callCharges(prog, pkg, call, set) {
+		if call, ok := n.(*ast.CallExpr); ok && callCharges(pkg, CallSite{call, Callee(pkg, call)}, set) {
 			found = true
 			return false
 		}
@@ -188,7 +177,7 @@ func runChargeCheck(pass *Pass) error {
 			return
 		}
 		seen[lit] = true
-		if !nodeCharges(pass.Prog, pass.Pkg, lit.Body, set) {
+		if !nodeCharges(pass.Pkg, lit.Body, set) {
 			pass.Reportf(lit.Pos(), "%s accrues no virtual-time cost (no charge/Advance anywhere in its body)", what)
 		}
 	}
@@ -260,12 +249,8 @@ func runChargeCheck(pass *Pass) error {
 // branch or loop) counts as charging, so only paths with no possible
 // accrual at all are flagged.
 func checkReturnPaths(pass *Pass, bodyPkg *Package, body *ast.BlockStmt, set map[*types.Func]bool) {
-	prog := pass.Prog
 	charges := func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		return nodeCharges(prog, bodyPkg, n, set)
+		return n != nil && nodeCharges(bodyPkg, n, set)
 	}
 	exprsCharge := func(exprs []ast.Expr) bool {
 		for _, e := range exprs {

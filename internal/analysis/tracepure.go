@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-	"sort"
-)
+import "go/types"
 
 // TracePure enforces the zero-cost-when-disabled guarantee of the trace
 // layer: sink callbacks observe the simulation, they must never steer it.
@@ -66,76 +62,47 @@ func isSimReentry(fn *types.Func) bool {
 }
 
 // sinkReachable computes, once per program, the set of loaded functions
-// reachable from any sink root through statically resolvable calls.
-func sinkReachable(prog *Program) map[*types.Func]bool {
+// reachable from any sink root through the call graph.
+func sinkReachable(prog *Program) map[*FuncSource]bool {
 	return prog.Fact(tracePureKey, func() any {
-		reach := map[*types.Func]bool{}
-		var queue []*types.Func
-		for fn := range prog.funcDecls {
-			if isSinkRoot(fn) {
-				reach[fn] = true
-				queue = append(queue, fn)
+		reach := map[*FuncSource]bool{}
+		var queue []*FuncSource
+		for _, src := range prog.funcs {
+			if isSinkRoot(src.Fn) {
+				reach[src] = true
+				queue = append(queue, src)
 			}
 		}
 		for len(queue) > 0 {
-			fn := queue[0]
+			src := queue[0]
 			queue = queue[1:]
-			src := prog.FuncBody(fn)
-			if src == nil || src.Decl.Body == nil {
-				continue
-			}
-			ast.Inspect(src.Decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := Callee(src.Pkg, call)
-				if callee == nil || reach[callee] {
-					return true
-				}
-				if prog.FuncBody(callee) != nil {
+			for _, c := range src.Calls {
+				callee := prog.FuncBody(c.Callee)
+				if callee != nil && callee.Decl.Body != nil && !reach[callee] {
 					reach[callee] = true
 					queue = append(queue, callee)
 				}
-				return true
-			})
+			}
 		}
 		return reach
-	}).(map[*types.Func]bool)
+	}).(map[*FuncSource]bool)
 }
 
 func runTracePure(pass *Pass) error {
 	reach := sinkReachable(pass.Prog)
-
 	// Check only functions declared in this package, so each finding is
 	// reported exactly once (in its home package's pass).
-	type decl struct {
-		fn  *types.Func
-		src *FuncSource
-	}
-	var decls []decl
-	for fn := range reach {
-		src := pass.Prog.FuncBody(fn)
-		if src != nil && src.Pkg == pass.Pkg && src.Decl.Body != nil {
-			decls = append(decls, decl{fn, src})
+	for _, src := range pass.Prog.funcs {
+		if src.Pkg != pass.Pkg || !reach[src] {
+			continue
 		}
-	}
-	sort.Slice(decls, func(i, j int) bool { return decls[i].src.Decl.Pos() < decls[j].src.Decl.Pos() })
-
-	for _, d := range decls {
-		ast.Inspect(d.src.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := Callee(pass.Pkg, call)
-			if isSimReentry(callee) {
-				pass.Reportf(call.Pos(),
+		for _, c := range src.Calls {
+			if isSimReentry(c.Callee) {
+				pass.Reportf(c.Call.Pos(),
 					"%s is reachable from a trace sink callback but re-enters the simulator via %s.%s: sinks must observe virtual time, never create it",
-					d.fn.Name(), RecvTypeName(callee), callee.Name())
+					src.Fn.Name(), RecvTypeName(c.Callee), c.Callee.Name())
 			}
-			return true
-		})
+		}
 	}
 	return nil
 }
