@@ -579,11 +579,18 @@ func (k *Kernel) AddDevice(dev Device) error {
 }
 
 // OnDeviceAdd registers a hook called for every device added afterwards
-// and, immediately, for every device already present.
+// and, immediately, for every device already present in sorted name
+// order, so the entries a hook creates (I/O Kit registry IDs) are the
+// same on every boot.
 func (k *Kernel) OnDeviceAdd(h func(Device)) {
 	k.deviceAddHooks = append(k.deviceAddHooks, h)
-	for _, d := range k.devices {
-		h(d)
+	names := make([]string, 0, len(k.devices))
+	for n := range k.devices {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		h(k.devices[n])
 	}
 }
 
@@ -591,13 +598,4 @@ func (k *Kernel) OnDeviceAdd(h func(Device)) {
 func (k *Kernel) FindDevice(name string) (Device, bool) {
 	d, ok := k.devices[name]
 	return d, ok
-}
-
-// DeviceNames lists registered devices (sorted by the caller if needed).
-func (k *Kernel) DeviceNames() []string {
-	out := make([]string, 0, len(k.devices))
-	for n := range k.devices {
-		out = append(out, n)
-	}
-	return out
 }

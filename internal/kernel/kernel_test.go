@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -575,6 +576,32 @@ func TestDeviceAddHook(t *testing.T) {
 		t.Fatal("duplicate device registration should fail")
 	}
 }
+
+// TestDeviceAddHookReplaySorted pins the replay order of OnDeviceAdd: a
+// hook installed after devices exist sees them in sorted name order, on
+// every install. I/O Kit numbers its registry entries in that order, so
+// a map-order replay made registry IDs differ from boot to boot.
+func TestDeviceAddHookReplaySorted(t *testing.T) {
+	e := newEnv(t, ProfileCider)
+	for _, name := range []string{"tty0", "fb0", "input0", "camera0", "gps0", "audio0", "mmc0"} {
+		if err := e.k.AddDevice(namedDevice(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"audio0", "camera0", "fb0", "gps0", "input0", "mmc0", "null", "tty0", "zero"}
+	for i := 0; i < 100; i++ {
+		var seen []string
+		e.k.OnDeviceAdd(func(d Device) { seen = append(seen, d.DevName()) })
+		if fmt.Sprint(seen) != fmt.Sprint(want) {
+			t.Fatalf("install %d: hook replayed %v, want %v", i, seen, want)
+		}
+	}
+}
+
+type namedDevice string
+
+func (d namedDevice) DevName() string          { return string(d) }
+func (namedDevice) Open(*Thread) (File, Errno) { return nullFile{}, OK }
 
 type testFBDevice struct{}
 
