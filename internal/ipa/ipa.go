@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"path"
+	"sort"
 	"strings"
 
 	"repro/internal/macho"
@@ -122,6 +123,17 @@ func (a *App) infoPlist() []byte {
 		a.Name, a.BundleID, a.Name))
 }
 
+// assetNames lists the asset paths in sorted order, so archives and
+// installs do not depend on map iteration order.
+func (a *App) assetNames() []string {
+	names := make([]string, 0, len(a.Assets))
+	for name := range a.Assets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Build produces the .ipa archive: a zip with the standard
 // Payload/<Name>.app/ layout.
 func Build(a *App) ([]byte, error) {
@@ -145,8 +157,8 @@ func Build(a *App) ([]byte, error) {
 	if err := write("Info.plist", a.infoPlist()); err != nil {
 		return nil, err
 	}
-	for name, data := range a.Assets {
-		if err := write(name, data); err != nil {
+	for _, name := range a.assetNames() {
+		if err := write(name, a.Assets[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -267,8 +279,8 @@ func Install(iosFS *vfs.FS, androidFS *vfs.FS, ipaBytes []byte, ciderPressPath s
 	if err := iosFS.WriteFile(inst.ExecPath, app.Binary); err != nil {
 		return nil, err
 	}
-	for name, data := range app.Assets {
-		if err := iosFS.WriteFile(path.Join(inst.BundleDir, name), data); err != nil {
+	for _, name := range app.assetNames() {
+		if err := iosFS.WriteFile(path.Join(inst.BundleDir, name), app.Assets[name]); err != nil {
 			return nil, err
 		}
 	}

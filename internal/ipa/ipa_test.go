@@ -108,6 +108,34 @@ func TestBuildParseIPA(t *testing.T) {
 	}
 }
 
+// TestBuildDeterministic requires one app to package to the same bytes
+// on every build: Build must not write Assets in map order.
+func TestBuildDeterministic(t *testing.T) {
+	app := &ipa.App{
+		Name:     "Calculator Pro",
+		BundleID: "com.apalon.calculator",
+		Binary:   sampleBinary(t, "calc"),
+		Assets: map[string][]byte{
+			"Icon.png":    []byte("PNGDATA"),
+			"Default.png": []byte("SPLASH"),
+			"Main.nib":    []byte("NIB"),
+		},
+	}
+	first, err := ipa.Build(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		pkg, err := ipa.Build(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pkg, first) {
+			t.Fatalf("build %d differs from build 0", i)
+		}
+	}
+}
+
 func TestParseRejectsGarbage(t *testing.T) {
 	if _, err := ipa.Parse([]byte("not a zip")); err == nil {
 		t.Fatal("garbage should fail")
