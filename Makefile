@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures race bench bench-smoke bench-ratchet profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore perfbench-test verify
+.PHONY: build test vet lint lint-fixtures race profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore perfbench-test verify
 
 build:
 	$(GO) build ./...
@@ -29,33 +29,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the wall-clock harness (full Fig. 5 + Fig. 6 batteries at
-# jobs=1 and jobs=GOMAXPROCS, best of 3) and writes BENCH_simwall.json.
-# Compare two snapshots with: go run ./cmd/benchdiff OLD.json NEW.json
-bench:
-	$(GO) run ./cmd/simbench -out BENCH_simwall.json
-
-# bench-smoke is the 1-iteration harness run wired into verify: it proves
-# the harness itself still works without the repeated timing passes, and
-# -maxswitchallocs 0 asserts the context-switch round still allocates
-# nothing (the floor the syscall fast path stands on). The output goes to
-# a scratch file (gitignored) so verify never dirties the committed
-# BENCH_simwall.json snapshot.
-bench-smoke:
-	$(GO) run ./cmd/simbench -iterations 1 -maxswitchallocs 0 -out BENCH_simwall.smoke.json
-
-# bench-ratchet re-measures and fails unless ns/sim-syscall strictly
-# improved versus the committed snapshot — run this before regenerating
-# BENCH_simwall.json in a perf PR so the claimed win is machine-checked.
-bench-ratchet:
-	$(GO) run ./cmd/simbench -out BENCH_simwall.ratchet.json
-	$(GO) run ./cmd/benchdiff -ratchet BENCH_simwall.json BENCH_simwall.ratchet.json
-
-# profile writes CPU and allocation profiles of one full harness run for
-# the burn-down methodology (go tool pprof -top cpu.pprof, etc.).
+# profile writes CPU and allocation profiles of the Fig. 5 and Fig. 6
+# batteries alone (the root BenchmarkFig5*/BenchmarkFig6* benchmarks) for
+# the burn-down methodology (go tool pprof -top repro.test cpu.pprof;
+# mem.pprof holds cumulative allocations).
 profile:
-	$(GO) run ./cmd/simbench -iterations 1 -cpuprofile cpu.pprof -memprofile mem.pprof -out BENCH_simwall.smoke.json
-	@echo "profile: wrote cpu.pprof mem.pprof (inspect with: go tool pprof -top cpu.pprof)"
+	$(GO) test -run '^$$' -bench 'Fig5|Fig6' -benchtime 10x -cpuprofile cpu.pprof -memprofile mem.pprof -o repro.test .
 
 # soak runs the full fault-schedule matrix over the complete Fig. 5 + 6
 # batteries with cross-jobs determinism verification — the long-form
@@ -128,7 +107,7 @@ perfbench-test:
 
 # verify is the tier-1 gate: everything must build, vet clean, pass
 # ciderlint, pass the full test suite under the race detector, pass the
-# benchmark module's reference checks, run the bench, soak, and
-# diffcheck harnesses once end to end, and prove the record/replay round
-# trip is bit-identical.
-verify: build vet lint lint-fixtures race perfbench-test bench-smoke soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke
+# benchmark module's reference checks, run the soak and diffcheck
+# harnesses once end to end, and prove the record/replay round trip is
+# bit-identical.
+verify: build vet lint lint-fixtures race perfbench-test soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke

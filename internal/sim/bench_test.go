@@ -5,37 +5,54 @@ import (
 	"time"
 )
 
+// runPingPong runs two Procs bouncing park/wake for the given number of
+// round trips, so every round trip is two full run-token handoffs. This
+// is the hot path every kernel sleep/wakeup (pipes, Mach IPC, select)
+// pays.
+func runPingPong(tb testing.TB, rounds int) {
+	const hop = time.Microsecond
+	s := New()
+	var pa, pb *Proc
+	pa = s.Spawn("a", func(p *Proc) {
+		for j := 0; j < rounds; j++ {
+			p.Advance(hop)
+			p.Wake(pb, WakeNormal)
+			p.Park("pong")
+		}
+		p.Wake(pb, WakeInterrupted)
+	})
+	pb = s.Spawn("b", func(p *Proc) {
+		for {
+			if p.Park("ping") == WakeInterrupted {
+				return
+			}
+			p.Advance(hop)
+			p.Wake(pa, WakeNormal)
+		}
+	})
+	if err := s.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // BenchmarkPingPongHandoff measures the raw cost of one simulated context
-// switch: two Procs bouncing park/wake, so every round trip is two full
-// run-token handoffs. This is the hot path every kernel sleep/wakeup
-// (pipes, Mach IPC, select) pays.
+// switch: 1000 ping-pong round trips per op.
 func BenchmarkPingPongHandoff(b *testing.B) {
 	b.ReportAllocs()
-	const hop = time.Microsecond
 	for i := 0; i < b.N; i++ {
-		s := New()
-		var pa, pb *Proc
-		const rounds = 1000
-		pa = s.Spawn("a", func(p *Proc) {
-			for j := 0; j < rounds; j++ {
-				p.Advance(hop)
-				p.Wake(pb, WakeNormal)
-				p.Park("pong")
-			}
-			p.Wake(pb, WakeInterrupted)
-		})
-		pb = s.Spawn("b", func(p *Proc) {
-			for {
-				if p.Park("ping") == WakeInterrupted {
-					return
-				}
-				p.Advance(hop)
-				p.Wake(pa, WakeNormal)
-			}
-		})
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
+		runPingPong(b, 1000)
+	}
+}
+
+// TestSwitchRoundAllocFree pins the context-switch round at zero heap
+// allocations: a sim with twice the round trips must allocate exactly as
+// much as the shorter one, so only sim setup allocates. A new allocation
+// on the park/wake path would tax every simulated syscall that blocks.
+func TestSwitchRoundAllocFree(t *testing.T) {
+	short := testing.AllocsPerRun(10, func() { runPingPong(t, 1000) })
+	long := testing.AllocsPerRun(10, func() { runPingPong(t, 2000) })
+	if short != long {
+		t.Fatalf("allocs per sim: %v at 1000 rounds, %v at 2000 rounds; want equal (a switch round allocates)", short, long)
 	}
 }
 
