@@ -96,7 +96,7 @@ func reportFig5(b *testing.B, group string) {
 	}
 	var rep *lmbench.Report
 	for i := 0; i < b.N; i++ {
-		r, err := lmbench.RunFigure5Tests(tests)
+		r, err := lmbench.RunFigure5Opts(tests, lmbench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func reportFig6(b *testing.B, group string) {
 	}
 	var rep *passmark.Report
 	for i := 0; i < b.N; i++ {
-		r, err := passmark.RunFigure6Tests(tests)
+		r, err := passmark.RunFigure6Opts(tests, passmark.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

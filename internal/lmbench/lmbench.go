@@ -228,16 +228,11 @@ func Configurations() []Configuration {
 	}
 }
 
-// Run executes the given tests in one configuration, returning a result
-// per test.
-func Run(conf Configuration, tests []Test) ([]Result, error) {
-	return RunWith(conf, tests, nil)
-}
-
-// RunWith is Run with a per-run system hook: onSystem, when non-nil, is
-// invoked with the freshly booted System before any benchmark process
-// starts. Tests and the CLI use it to attach a trace session to the run;
-// it must not advance virtual time. The hook replaces the old package
+// RunWith executes the given tests in one configuration, returning a
+// result per test. onSystem, when non-nil, is invoked with the freshly
+// booted System before any benchmark process starts. Tests and the CLI
+// use it to attach a trace session to the run; it must not advance
+// virtual time. The hook replaces the old package
 // global OnSystem, which the parallel engine made a data race — per-run
 // state keeps concurrent batteries (and concurrent tests) independent.
 func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {

@@ -46,18 +46,6 @@ type Options struct {
 	OnSystem func(Cell, *core.System)
 }
 
-// RunFigure5 runs the full battery on all four configurations across
-// GOMAXPROCS host workers.
-func RunFigure5() (*Report, error) {
-	return RunFigure5Tests(AllTests())
-}
-
-// RunFigure5Tests runs a chosen subset on all four configurations across
-// GOMAXPROCS host workers.
-func RunFigure5Tests(tests []Test) (*Report, error) {
-	return RunFigure5Opts(tests, Options{})
-}
-
 // Cells enumerates the battery's parallel cells in canonical order: one
 // per (configuration, test). lmbench cells can be this fine-grained
 // because every test boots from the same cold-start System state; see

@@ -82,14 +82,9 @@ type Result struct {
 	Err error
 }
 
-// Run executes the battery in one configuration.
-func Run(conf Configuration, tests []Test) ([]Result, error) {
-	return RunWith(conf, tests, nil)
-}
-
-// RunWith is Run with a per-run system hook: onSystem, when non-nil, is
-// invoked with the freshly booted System before the app starts — the
-// place to attach a trace session. It must not advance virtual time.
+// RunWith executes the battery in one configuration. onSystem, when
+// non-nil, is invoked with the freshly booted System before the app
+// starts — the place to attach a trace session. It must not advance virtual time.
 func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
 	sys, err := core.NewSystem(conf.System)
 	if err != nil {

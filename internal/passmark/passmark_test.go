@@ -14,7 +14,7 @@ var cachedReport *Report
 func figure6(t *testing.T) *Report {
 	t.Helper()
 	if cachedReport == nil {
-		rep, err := RunFigure6()
+		rep, err := RunFigure6Opts(AllTests(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

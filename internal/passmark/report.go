@@ -37,18 +37,6 @@ type Options struct {
 	OnSystem func(Cell, *core.System)
 }
 
-// RunFigure6 runs the full battery on all four configurations across
-// GOMAXPROCS host workers.
-func RunFigure6() (*Report, error) {
-	return RunFigure6Tests(AllTests())
-}
-
-// RunFigure6Tests runs a chosen subset on all four configurations across
-// GOMAXPROCS host workers.
-func RunFigure6Tests(tests []Test) (*Report, error) {
-	return RunFigure6Opts(tests, Options{})
-}
-
 // RunFigure6Opts runs a chosen subset, sharding one cell per
 // configuration across opts.Jobs host workers. Each cell is an
 // independent System, so the merged report is bit-identical for every
