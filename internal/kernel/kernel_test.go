@@ -580,7 +580,7 @@ func TestDeviceAddHook(t *testing.T) {
 // TestDeviceAddHookReplaySorted pins the replay order of OnDeviceAdd: a
 // hook installed after devices exist sees them in sorted name order, on
 // every install. I/O Kit numbers its registry entries in that order, so
-// a map-order replay made registry IDs differ from boot to boot.
+// a map-order replay would make registry IDs differ from boot to boot.
 func TestDeviceAddHookReplaySorted(t *testing.T) {
 	e := newEnv(t, ProfileCider)
 	for _, name := range []string{"tty0", "fb0", "input0", "camera0", "gps0", "audio0", "mmc0"} {
