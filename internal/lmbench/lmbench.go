@@ -232,9 +232,8 @@ func Configurations() []Configuration {
 // result per test. onSystem, when non-nil, is invoked with the freshly
 // booted System before any benchmark process starts. Tests and the CLI
 // use it to attach a trace session to the run; it must not advance
-// virtual time. The hook replaces the old package
-// global OnSystem, which the parallel engine made a data race — per-run
-// state keeps concurrent batteries (and concurrent tests) independent.
+// virtual time. The hook is a per-run argument, not package state, so
+// concurrent batteries (and concurrent tests) stay independent.
 func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
 	sys, err := core.NewSystem(conf.System)
 	if err != nil {

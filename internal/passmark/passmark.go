@@ -84,7 +84,8 @@ type Result struct {
 
 // RunWith executes the battery in one configuration. onSystem, when
 // non-nil, is invoked with the freshly booted System before the app
-// starts — the place to attach a trace session. It must not advance virtual time.
+// starts — the place to attach a trace session. It must not advance
+// virtual time.
 func RunWith(conf Configuration, tests []Test, onSystem func(*core.System)) ([]Result, error) {
 	sys, err := core.NewSystem(conf.System)
 	if err != nil {
