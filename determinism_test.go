@@ -12,6 +12,8 @@
 package repro_test
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -19,6 +21,29 @@ import (
 	"repro/internal/passmark"
 	"repro/internal/trace"
 )
+
+// experimentsBlock returns the first fenced block under the EXPERIMENTS.md
+// heading that starts with heading, each line newline-terminated.
+func experimentsBlock(t *testing.T, heading string) string {
+	t.Helper()
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "\n"+heading)
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md: no %q heading", heading)
+	}
+	_, rest, ok = strings.Cut(rest, "\n```\n")
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md: no fenced block under %q", heading)
+	}
+	block, _, ok := strings.Cut(rest, "```\n")
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md: unterminated block under %q", heading)
+	}
+	return block
+}
 
 // compareSessions asserts two session slices carry bit-identical event
 // streams, cell by cell.
@@ -92,6 +117,11 @@ func TestFigure5Deterministic(t *testing.T) {
 	}
 
 	compareSessions(t, seqSess, parSess)
+
+	// EXPERIMENTS.md quotes cmd/lmbench's output; keep it checked.
+	if got, want := seqRep.Render(), experimentsBlock(t, "## Figure 5"); got != want {
+		t.Errorf("EXPERIMENTS.md Figure 5 block is stale; cmd/lmbench prints:\n%s", got)
+	}
 }
 
 func TestFigure6Deterministic(t *testing.T) {
@@ -132,4 +162,9 @@ func TestFigure6Deterministic(t *testing.T) {
 	}
 
 	compareSessions(t, seqSess, parSess)
+
+	// EXPERIMENTS.md quotes cmd/passmark's output; keep it checked.
+	if got, want := seqRep.Render(), experimentsBlock(t, "## Figure 6"); got != want {
+		t.Errorf("EXPERIMENTS.md Figure 6 block is stale; cmd/passmark prints:\n%s", got)
+	}
 }

@@ -240,27 +240,31 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 	var err error
 	var root vfs.FileSystem
 	var profile kernel.Profile
+	var android, ios *bootImage
 	switch cfg {
 	case ConfigVanilla:
 		if device == nil {
 			device = hw.Nexus7()
 		}
 		profile = kernel.ProfileLinuxVanilla
-		if sys.AndroidFS, err = newAndroidFS(); err != nil {
+		if android, err = androidImage(); err != nil {
 			return nil, err
 		}
+		sys.AndroidFS = android.fs.Clone()
 		root = sys.AndroidFS
 	case ConfigCider:
 		if device == nil {
 			device = hw.Nexus7()
 		}
 		profile = kernel.ProfileCider
-		if sys.AndroidFS, err = newAndroidFS(); err != nil {
+		if android, err = androidImage(); err != nil {
 			return nil, err
 		}
-		if sys.IOSFS, err = newIOSFS(); err != nil {
+		if ios, err = iosImage(); err != nil {
 			return nil, err
 		}
+		sys.AndroidFS = android.fs.Clone()
+		sys.IOSFS = ios.fs.Clone()
 		// "Cider overlays a file system hierarchy on the existing Android
 		// FS" (Section 3).
 		root = vfs.NewOverlay(sys.IOSFS, sys.AndroidFS)
@@ -269,9 +273,10 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 			device = hw.IPadMini()
 		}
 		profile = kernel.ProfileXNUNative
-		if sys.IOSFS, err = newIOSFS(); err != nil {
+		if ios, err = iosImage(); err != nil {
 			return nil, err
 		}
+		sys.IOSFS = ios.fs.Clone()
 		root = sys.IOSFS
 	default:
 		return nil, fmt.Errorf("core: unknown config %d", cfg)
@@ -336,7 +341,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		if o.SharedCache != nil {
 			sharedCache = *o.SharedCache
 		}
-		if err := dyld.Register(reg, dyld.Config{SharedCache: sharedCache}); err != nil {
+		if err := dyld.Register(reg, dyld.Config{SharedCache: sharedCache, Prelinked: ios.prelinked}); err != nil {
 			return nil, err
 		}
 		if err := libsystem.RegisterSh(reg); err != nil {
@@ -344,11 +349,6 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		}
 		if sys.Syslog, err = services.RegisterAll(reg, sys.IOSFS); err != nil {
 			return nil, err
-		}
-		if sharedCache {
-			if err := dyld.BuildSharedCache(sys.IOSFS, IOSDylibs()); err != nil {
-				return nil, err
-			}
 		}
 	}
 

@@ -3,63 +3,51 @@ package core
 import (
 	"sync"
 
+	"repro/internal/dyld"
 	"repro/internal/vfs"
 )
 
-// The iOS and Android filesystem images are pure functions of package
-// constants — 115 dylibs, the HAL .so set, dyld, the shells — yet they used
-// to be regenerated from scratch for every booted System, which profiling
-// showed was the single largest share of benchmark wall time (~45% of a
-// Fig. 5 battery, ~90MB of Mach-O bytes re-synthesized per cell). Each
-// image is now built once per process, frozen, and cloned per System:
-// Clone copies only the directory skeleton and shares file bytes
-// copy-on-write, so per-boot cost drops to a tree copy. Freezing makes
-// in-place writes through any clone safe (they copy first), and the
-// templates themselves are never handed out, so nothing can mutate them.
+// A bootImage is everything a System boots from that is a pure function
+// of package constants. There are two: the Android image (the HAL .so set
+// and the shells) and the iOS image (115 dylibs, dyld, the shell, and the
+// prelinked shared cache). Vanilla Android boots from the first, the iPad
+// from the second, Cider from both. Each is built lazily, once per
+// process, on the first boot that needs it, then frozen and shared
+// immutably: a System gets a Clone of the filesystem, which copies only
+// the directory skeleton and shares file bytes copy-on-write, and a
+// pointer to the prelink table, which dyld consults only for the image's
+// own bytes. Per-boot state (a rewritten library, installed binaries) lives
+// in the System's clone and dies with it; nothing built for one System is
+// kept for the next.
 //
-// None of this touches virtual time: image construction never charged
-// simulated cycles, so a cloned boot is bit-identical to a rebuilt one
-// (the determinism and soak digest tests pin this).
+// None of this touches virtual time: building an image never charged
+// simulated cycles, and dyld charges every load in full whichever way the
+// bytes were decoded (the determinism and soak digest tests pin this).
+type bootImage struct {
+	fs        *vfs.FS
+	prelinked *dyld.Prelinked // the iOS image's dylibs and cache manifest
+}
+
 var (
-	iosImageOnce sync.Once
-	iosImageFS   *vfs.FS
-	iosImageErr  error
-
-	androidImageOnce sync.Once
-	androidImageFS   *vfs.FS
-	androidImageErr  error
-)
-
-// newIOSFS returns a fresh iOS filesystem image (a clone of the template).
-func newIOSFS() (*vfs.FS, error) {
-	iosImageOnce.Do(func() {
+	iosImage = sync.OnceValues(func() (*bootImage, error) {
 		fs := vfs.New()
 		if err := buildIOSFS(fs); err != nil {
-			iosImageErr = err
-			return
+			return nil, err
+		}
+		pre, err := dyld.Prelink(fs, IOSDylibs())
+		if err != nil {
+			return nil, err
 		}
 		fs.Freeze()
-		iosImageFS = fs
+		return &bootImage{fs: fs, prelinked: pre}, nil
 	})
-	if iosImageErr != nil {
-		return nil, iosImageErr
-	}
-	return iosImageFS.Clone(), nil
-}
 
-// newAndroidFS returns a fresh Android filesystem image.
-func newAndroidFS() (*vfs.FS, error) {
-	androidImageOnce.Do(func() {
+	androidImage = sync.OnceValues(func() (*bootImage, error) {
 		fs := vfs.New()
 		if err := buildAndroidFS(fs); err != nil {
-			androidImageErr = err
-			return
+			return nil, err
 		}
 		fs.Freeze()
-		androidImageFS = fs
+		return &bootImage{fs: fs}, nil
 	})
-	if androidImageErr != nil {
-		return nil, androidImageErr
-	}
-	return androidImageFS.Clone(), nil
-}
+)

@@ -15,12 +15,15 @@
 //     (submap) attach replaces the walk, making exec and fork much cheaper.
 //     Cider "does not yet support" this optimization; enabling it here is
 //     the BenchmarkAblationSharedCache experiment.
+//
+// Both paths read a boot image's Prelinked table (see Prelink) for bytes
+// the image owns and parse anything else; the charges are the same
+// either way.
 package dyld
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/kernel"
@@ -46,10 +49,14 @@ type Config struct {
 	// SharedCache enables the prelinked shared-cache fast path (iPad
 	// configuration; off in the Cider prototype).
 	SharedCache bool
-	// cacheHandlerGroups is how many consolidated handler registrations a
-	// prelinked cache performs instead of one per library.
-	CacheHandlerGroups int
+	// Prelinked is the boot image's prelink table (see Prelink); nil means
+	// every library and the cache manifest are parsed from the filesystem.
+	Prelinked *Prelinked
 }
+
+// cacheHandlerGroups is how many consolidated handler registrations a
+// prelinked cache performs instead of one per library.
+const cacheHandlerGroups = 8
 
 // LoadedImage is one mapped dylib.
 type LoadedImage struct {
@@ -129,9 +136,6 @@ type cacheImage struct {
 
 // Register installs the dyld program into a registry.
 func Register(reg *prog.Registry, cfg Config) error {
-	if cfg.CacheHandlerGroups == 0 {
-		cfg.CacheHandlerGroups = 8
-	}
 	return reg.Register(ProgKey, func(c *prog.Call) uint64 {
 		t := c.Ctx.(*kernel.Thread)
 		return run(t, cfg, c.Args)
@@ -178,12 +182,12 @@ func run(t *kernel.Thread, cfg Config, args []uint64) uint64 {
 
 	loaded := false
 	if cfg.SharedCache {
-		loaded = attachSharedCache(t, cs, images)
+		loaded = attachSharedCache(t, cs, images, cfg.Prelinked)
 	}
 	if !loaded {
 		// Walk the filesystem, loading each library: the slow path the
 		// Cider prototype takes on every exec.
-		if err := loadAll(t, cs, images, needed); err != nil {
+		if err := loadAll(t, cs, images, cfg.Prelinked, needed); err != nil {
 			return 255
 		}
 	}
@@ -196,48 +200,84 @@ func run(t *kernel.Thread, cfg Config, args []uint64) uint64 {
 	return entry(&prog.Call{Ctx: t, Args: args})
 }
 
-// imageCache maps a parsed dylib (one *macho.File per distinct binary, via
-// macho.ParseShared) to its load-time metadata: the export table and the
-// exported-symbol count the per-symbol bind charges are computed from. The
-// metadata is pure — a function of the bytes and the install path — and a
-// LoadedImage is immutable after construction, so every exec of every
-// booted System shares one copy per dylib instead of rebuilding a 100+
-// entry symbol map each time. Virtual-time charges are NOT cached: the
-// caller still charges parse, per-segment map, per-symbol bind, and init
-// costs identically on every load, so simulated latencies are unchanged.
-var imageCache sync.Map // *macho.File -> *imageEntry
+// Prelinked is what the offline prelinker learned about one frozen
+// filesystem image: every dylib it parsed, with its export table, and the
+// shared-cache manifest it wrote. It is built once per image, before the
+// image is frozen, and is read-only afterwards, so every System booted from
+// that image shares it. An entry describes exact bytes, not a path: dyld
+// uses it only while the looked-up node still holds the image's own bytes
+// (same backing array and length). A rewritten library or a rewritten
+// manifest is parsed from scratch and lives only as long as its System.
+//
+// None of this touches virtual time: dyld charges parse, segment map,
+// per-symbol bind and init on every load, whichever way the image was
+// decoded.
+type Prelinked struct {
+	dylibs map[string]*dylib
+	cache  *sharedCache
+}
 
-type imageEntry struct {
-	path  string
-	nsyms int
+// dylib is one decoded library image.
+type dylib struct {
+	data  []byte
+	file  *macho.File
 	img   *LoadedImage
+	nsyms int // exported-symbol count, one bind charge each
 }
 
-func imageFor(f *macho.File, path string) (img *LoadedImage, nsyms int) {
-	if v, ok := imageCache.Load(f); ok {
-		if e := v.(*imageEntry); e.path == path {
-			return e.img, e.nsyms
+// sharedCache is one decoded cache manifest.
+type sharedCache struct {
+	data       []byte
+	totalBytes uint64
+	images     []*LoadedImage
+}
+
+// sameBytes reports whether a and b are the same stored bytes: one
+// backing array, one length.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// dylib returns the library installed at path, decoded: the prelinked
+// entry when data is the image's own copy, otherwise a fresh parse.
+func (p *Prelinked) dylib(path string, data []byte) (*dylib, error) {
+	if p != nil {
+		if d := p.dylibs[path]; d != nil && sameBytes(d.data, data) {
+			return d, nil
 		}
-		// Same bytes installed under a different name: build fresh, keep
-		// the first entry.
-		return buildImage(f, path)
 	}
-	img, nsyms = buildImage(f, path)
-	imageCache.Store(f, &imageEntry{path: path, nsyms: nsyms, img: img})
-	return img, nsyms
+	return parseDylib(path, data)
 }
 
-func buildImage(f *macho.File, path string) (*LoadedImage, int) {
+// sharedCache returns the manifest in data, decoded: the prelinked one
+// when data is the image's own copy, otherwise a fresh decode.
+func (p *Prelinked) sharedCache(data []byte) (*sharedCache, error) {
+	if p != nil && sameBytes(p.cache.data, data) {
+		return p.cache, nil
+	}
+	return decodeManifest(data)
+}
+
+func parseDylib(path string, data []byte) (*dylib, error) {
+	f, err := macho.Parse(data)
+	if err != nil || f.FileType != macho.TypeDylib {
+		return nil, fmt.Errorf("dyld: %s is not a dylib", path)
+	}
 	syms := f.ExportedSymbols()
 	img := &LoadedImage{Path: path, Exports: make(map[string]string, len(syms))}
 	for _, sym := range syms {
 		img.Exports[sym.Name] = prog.SymbolKey(path, sym.Name)
 	}
-	return img, len(syms)
+	return &dylib{data: data, file: f, img: img, nsyms: len(syms)}, nil
+}
+
+// mapSize is how much address space a segment takes once mapped.
+func mapSize(seg *macho.Segment) uint64 {
+	return max(uint64(seg.VMSize), uint64(len(seg.Data)))
 }
 
 // loadAll maps every transitive dylib dependency.
-func loadAll(t *kernel.Thread, cs costs, images *Images, roots []string) error {
+func loadAll(t *kernel.Thread, cs costs, images *Images, pre *Prelinked, roots []string) error {
 	tk := t.Task()
 	st := libsystem.ForTask(tk)
 	k := t.Kernel()
@@ -259,17 +299,14 @@ func loadAll(t *kernel.Thread, cs costs, images *Images, roots []string) error {
 		// reads, so only the metadata pages cost storage time.
 		t.Charge(k.Device().Storage.OpLatency)
 		t.Charge(cs.parse)
-		f, perr := macho.ParseShared(node.Data())
-		if perr != nil || f.FileType != macho.TypeDylib {
-			return fmt.Errorf("dyld: %s is not a dylib", path)
+		d, derr := pre.dylib(path, node.Data())
+		if derr != nil {
+			return derr
 		}
 		// Map segments at their full VM size — this is where the ~90 MB
 		// of an iOS process's library footprint comes from.
-		for _, seg := range f.Segments {
-			size := uint64(seg.VMSize)
-			if size < uint64(len(seg.Data)) {
-				size = uint64(len(seg.Data))
-			}
+		for _, seg := range d.file.Segments {
+			size := mapSize(seg)
 			if size == 0 {
 				continue
 			}
@@ -281,23 +318,22 @@ func loadAll(t *kernel.Thread, cs costs, images *Images, roots []string) error {
 				return merr
 			}
 		}
-		img, nsyms := imageFor(f, path)
-		// One bind charge per exported symbol, exactly as when the export
-		// map was built inline — the cache must not change virtual time.
-		for i := 0; i < nsyms; i++ {
+		// One bind charge per exported symbol, however the image was
+		// decoded.
+		for i := 0; i < d.nsyms; i++ {
 			t.Charge(cs.bindSym)
 		}
 		if tr := k.Tracer(); tr != nil {
-			tr.Count(trace.CounterDyldBinds, uint64(len(img.Exports)))
+			tr.Count(trace.CounterDyldBinds, uint64(len(d.img.Exports)))
 			tr.Count(trace.CounterDyldImages, 1)
 		}
-		images.list = append(images.list, img)
-		images.byPath[path] = img
+		images.list = append(images.list, d.img)
+		images.byPath[path] = d.img
 		// Run the image initializer and register its teardown hooks: one
 		// atexit handler and one pthread_atfork triple per library.
 		t.Charge(cs.initImage)
 		registerImageHandlers(st, cs)
-		work = append(work, f.Dylibs...)
+		work = append(work, d.file.Dylibs...)
 	}
 	return nil
 }
@@ -315,123 +351,101 @@ func registerImageHandlers(st *libsystem.State, cs costs) {
 	)
 }
 
-// manifestCache maps a serialized cache manifest (keyed like ParseShared,
-// by backing-array identity, which pins the bytes so keys can't be reused)
-// to its decoded image table. Every exec in the shared-cache configuration
-// attaches the same manifest; decoding the JSON and rebuilding 100+ export
-// maps per exec was pure host overhead with no virtual-time component.
-var manifestCache sync.Map // *byte -> *manifestEntry
-
-type manifestEntry struct {
-	n        int
-	manifest cacheManifest
-	images   []*LoadedImage
-}
-
-func decodeManifest(data []byte) (*manifestEntry, bool) {
-	if len(data) == 0 {
-		return nil, false
+// decodeManifest decodes a serialized cache manifest and builds its image
+// table.
+func decodeManifest(data []byte) (*sharedCache, error) {
+	var m cacheManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
 	}
-	key := &data[0]
-	if v, ok := manifestCache.Load(key); ok {
-		if e := v.(*manifestEntry); e.n == len(data) {
-			return e, true
-		}
-	}
-	e := &manifestEntry{n: len(data)}
-	if jerr := json.Unmarshal(data, &e.manifest); jerr != nil {
-		return nil, false
-	}
-	for _, ci := range e.manifest.Images {
+	c := &sharedCache{data: data, totalBytes: m.TotalBytes}
+	for _, ci := range m.Images {
 		img := &LoadedImage{Path: ci.Path, Exports: make(map[string]string, len(ci.Exports))}
 		for _, sym := range ci.Exports {
 			img.Exports[sym] = prog.SymbolKey(ci.Path, sym)
 		}
-		e.images = append(e.images, img)
+		c.images = append(c.images, img)
 	}
-	manifestCache.Store(key, e)
-	return e, true
+	return c, nil
 }
 
 // attachSharedCache maps the prelinked cache as a single submap region and
 // installs its image table without touching the filesystem per library.
-func attachSharedCache(t *kernel.Thread, cs costs, images *Images) bool {
+func attachSharedCache(t *kernel.Thread, cs costs, images *Images, pre *Prelinked) bool {
 	k := t.Kernel()
 	node, err := k.Root().Lookup(SharedCachePath)
 	if err != nil {
 		return false
 	}
-	e, ok := decodeManifest(node.Data())
-	if !ok {
+	c, derr := pre.sharedCache(node.Data())
+	if derr != nil {
 		return false
 	}
 	t.Charge(cs.cacheAttach)
-	r, merr := t.Task().Mem().Map(0, e.manifest.TotalBytes, mem.ProtRead|mem.ProtExec, "dyld_shared_cache", false)
+	r, merr := t.Task().Mem().Map(0, c.totalBytes, mem.ProtRead|mem.ProtExec, "dyld_shared_cache", false)
 	if merr != nil {
 		return false
 	}
 	if tr := k.Tracer(); tr != nil {
 		tr.Count(trace.CounterDyldCacheAttach, 1)
-		tr.Count(trace.CounterDyldImages, uint64(len(e.manifest.Images)))
+		tr.Count(trace.CounterDyldImages, uint64(len(c.images)))
 	}
 	r.Submap = true // nested map: fork never copies these PTEs
 	st := libsystem.ForTask(t.Task())
-	for _, img := range e.images {
+	for _, img := range c.images {
 		images.list = append(images.list, img)
 		images.byPath[img.Path] = img
 	}
 	// Prelinking consolidates initializers and teardown hooks.
-	groups := 8
-	for i := 0; i < groups; i++ {
+	for i := 0; i < cacheHandlerGroups; i++ {
 		t.Charge(cs.initImage)
 		registerImageHandlers(st, cs)
 	}
 	return true
 }
 
-// BuildSharedCache prelinks the given dylibs into a cache manifest at
-// SharedCachePath — what Apple's update process does offline. root must be
-// the filesystem holding the dylibs.
-func BuildSharedCache(root vfs.FileSystem, libs []string) error {
+// Prelink is the offline prelinker Apple's update process runs: it
+// decodes every library in libs from fs, writes the shared-cache manifest
+// for them at SharedCachePath, and returns the table of both. fs is a boot
+// image under construction; the table describes the bytes now in it, so
+// the caller freezes fs next and never rewrites it in place.
+func Prelink(fs *vfs.FS, libs []string) (*Prelinked, error) {
+	p := &Prelinked{dylibs: make(map[string]*dylib, len(libs))}
 	var manifest cacheManifest
+	var images []*LoadedImage
 	for _, path := range libs {
-		node, err := root.Lookup(path)
+		node, err := fs.Lookup(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		f, perr := macho.ParseShared(node.Data())
-		if perr != nil {
-			return perr
+		d, err := parseDylib(path, node.Data())
+		if err != nil {
+			return nil, err
 		}
+		p.dylibs[path] = d
+		images = append(images, d.img)
 		ci := cacheImage{Path: path}
-		for _, sym := range f.ExportedSymbols() {
+		for _, sym := range d.file.ExportedSymbols() {
 			ci.Exports = append(ci.Exports, sym.Name)
 		}
-		for _, seg := range f.Segments {
-			size := uint64(seg.VMSize)
-			if size < uint64(len(seg.Data)) {
-				size = uint64(len(seg.Data))
-			}
-			manifest.TotalBytes += size
+		for _, seg := range d.file.Segments {
+			manifest.TotalBytes += mapSize(seg)
 		}
 		manifest.Images = append(manifest.Images, ci)
 	}
 	data, err := json.Marshal(&manifest)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dir, _ := vfs.Split(SharedCachePath)
-	if err := root.MkdirAll(dir); err != nil {
-		return err
+	if err := fs.WriteFile(SharedCachePath, data); err != nil {
+		return nil, err
 	}
-	node, err := root.Create(SharedCachePath)
+	node, err := fs.Lookup(SharedCachePath)
 	if err != nil {
-		if n, lerr := root.Lookup(SharedCachePath); lerr == nil {
-			n.SetData(data)
-			return nil
-		}
-		return err
+		return nil, err
 	}
-	node.SetData(data)
-	return nil
+	// The manifest lists exactly the images just built, so the cache
+	// shares them rather than decoding its own copies.
+	p.cache = &sharedCache{data: node.Data(), totalBytes: manifest.TotalBytes, images: images}
+	return p, nil
 }

@@ -147,3 +147,47 @@ func TestImageTableSharedAcrossFork(t *testing.T) {
 		}
 	})
 }
+
+// TestRewrittenDylibStaysInItsSystem overwrites one boot-image library in
+// one System with a build that exports one more symbol. dyld must bind the
+// new export there (the prelinked entry describes the image's bytes, not
+// the path), and a System booted afterwards must still see the image's
+// library.
+func TestRewrittenDylibStaysInItsSystem(t *testing.T) {
+	const lib = "/usr/lib/libz.1.dylib"
+	const extra = "_zlibRewrittenExport"
+	resolves := func(rewrite bool) bool {
+		sys, err := core.NewSystem(core.ConfigCider)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Register the export's code in both Systems, so only the image
+		// table decides whether it binds.
+		sys.Registry.MustRegister(prog.SymbolKey(lib, extra), func(c *prog.Call) uint64 { return 0 })
+		if rewrite {
+			bin, err := prog.MachODylib(lib, []string{core.LibSystemPath}, []string{"_libz_init", extra}, 800<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.IOSFS.WriteFile(lib, bin); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bound := false
+		sys.InstallIOSBinary("/bin/rebind", "rebind-"+t.Name()+boolTag(rewrite), nil, func(c *prog.Call) uint64 {
+			_, bound = dyld.ResolveSymbol(c.Ctx.(*kernel.Thread), extra)
+			return 0
+		})
+		sys.Start("/bin/rebind", nil)
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return bound
+	}
+	if !resolves(true) {
+		t.Errorf("rewritten %s: %s does not bind", lib, extra)
+	}
+	if resolves(false) {
+		t.Errorf("System booted after the rewrite binds %s: the rewrite leaked into the boot image", extra)
+	}
+}

@@ -45,7 +45,7 @@ const (
 
 // Load implements BinFmt.
 func (l *MachOLoader) Load(t *Thread, path string, data []byte, argv []string) (prog.Func, Errno) {
-	f, err := macho.ParseShared(data)
+	f, err := macho.Parse(data)
 	if err != nil {
 		return nil, ENOEXEC
 	}
@@ -152,7 +152,7 @@ func (l *MachOLoader) resolveDylinker(t *Thread, dylinker string) (string, Errno
 		return "", ErrnoFromVFS(err)
 	}
 	t.charge(t.k.device.Storage.ReadTime(node.Size()))
-	df, perr := macho.ParseShared(node.Data())
+	df, perr := macho.Parse(node.Data())
 	if perr != nil {
 		return "", ENOEXEC
 	}

@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Magic32 is the 32-bit little-endian Mach-O magic (MH_MAGIC).
@@ -601,48 +600,6 @@ func Sniff(b []byte) (filetype uint32, ok bool) {
 		return 0, false
 	}
 	return le.Uint32(b[12:]), true
-}
-
-// sharedFiles caches ParseShared results keyed by the identity of the input
-// buffer's backing array. Keying on the *byte pins that array alive for the
-// life of the entry, so a key can never be recycled for different bytes.
-// The population is bounded by the number of distinct binaries in the
-// process — dominated by the template dylib images every booted System now
-// shares (see internal/core's filesystem templates).
-var sharedFiles sync.Map // *byte -> *sharedEntry
-
-type sharedEntry struct {
-	n int
-	f *File
-}
-
-// ParseShared is Parse for callers that re-decode the same immutable image
-// over and over (dyld loads the same 100+ dylibs for every exec of every
-// booted System). It returns one cached *File per distinct input buffer;
-// the caller must treat the result — and the buffer — as immutable.
-// Rewriting a file in the simulated VFS installs a fresh data slice
-// (vfs.SetData), which misses the cache and re-parses, so stale hits would
-// require mutating a binary's bytes in place through Data(), which the VFS
-// contract already forbids.
-func ParseShared(b []byte) (*File, error) {
-	if len(b) == 0 {
-		return Parse(b)
-	}
-	key := &b[0]
-	if v, ok := sharedFiles.Load(key); ok {
-		if e := v.(*sharedEntry); e.n == len(b) {
-			return e.f, nil
-		}
-		// Same backing array, different length (a resliced prefix):
-		// rare enough to just parse unshared.
-		return Parse(b)
-	}
-	f, err := Parse(b)
-	if err != nil {
-		return nil, err
-	}
-	sharedFiles.Store(key, &sharedEntry{n: len(b), f: f})
-	return f, nil
 }
 
 func cstr(b []byte) string {
