@@ -180,8 +180,9 @@ func hotMayAlloc(prog *Program) map[*types.Func]*allocWitness {
 
 // hotAllowedLines maps filename → lines covered by a well-formed
 // //lint:allow hotalloc directive (the directive's line and the next,
-// matching the suppression matcher in RunAll). Sites on covered lines
-// are justified cold paths and must not taint callers in the fixpoint.
+// matching the suppression matcher in RunAll). Sites on covered lines,
+// direct allocations and calls into allocating callees alike, are
+// justified cold paths and must not taint callers in the fixpoint.
 // The directives come from the one parser RunAll uses, so an allow that
 // parser rejects as malformed exempts nothing here either.
 func hotAllowedLines(prog *Program, pkg *Package) map[string]map[int]bool {
@@ -198,9 +199,9 @@ func hotAllowedLines(prog *Program, pkg *Package) map[string]map[int]bool {
 
 // fnAllocWitness returns the canonical allocation witness for src: the
 // first direct site by position, or else the first call, in source order,
-// to a callee on a shortest chain down to a direct site. Sites suppressed
-// by a //lint:allow hotalloc directive are skipped here (they still get
-// reported — and suppressed — inside annotated functions).
+// to a callee on a shortest chain down to a direct site. Sites and calls
+// suppressed by a //lint:allow hotalloc directive are skipped here (they
+// still get reported — and suppressed — inside annotated functions).
 func fnAllocWitness(prog *Program, src *FuncSource, set map[*types.Func]*allocWitness, allowed map[string]map[int]bool) *allocWitness {
 	ws := directAllocs(src.Pkg, src.Decl.Body)
 	var first *allocWitness
@@ -218,6 +219,9 @@ func fnAllocWitness(prog *Program, src *FuncSource, set map[*types.Func]*allocWi
 	}
 	var found *allocWitness
 	for _, c := range src.Calls {
+		if p := prog.Fset.Position(c.Call.Pos()); allowed[p.Filename][p.Line] {
+			continue
+		}
 		// A nil callee (function value, interface dispatch) is assumed clean.
 		if w := set[c.Callee]; w != nil && (found == nil || w.depth+1 < found.depth) {
 			found = &allocWitness{what: w.what, pos: c.Call.Pos(), via: c.Callee, depth: w.depth + 1}

@@ -65,6 +65,23 @@ func CallsColdPath(p *Proc) {
 	ColdPath(p)
 }
 
+// ColdCall justifies a cold call into an allocating callee; like a
+// direct cold site, the allow suppresses the finding here and keeps
+// callers untainted.
+//
+//hot:noalloc
+func ColdCall(p *Proc) {
+	if p.buf == nil {
+		//lint:allow hotalloc: fixture: one-time construction on the cold path
+		helper()
+	}
+}
+
+//hot:noalloc
+func CallsColdCall(p *Proc) {
+	ColdCall(p)
+}
+
 // unannotated may allocate freely.
 func unannotated() []int {
 	return make([]int, 1)

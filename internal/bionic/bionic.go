@@ -198,7 +198,7 @@ func (c *C) OnTrimMemory(handler func(level int)) {
 
 // SetPersona switches persona (Cider kernels only).
 func (c *C) SetPersona(to persona.Kind) (persona.Kind, kernel.Errno) {
-	ret := c.T.Syscall(kernel.SysSetPersona, &kernel.SyscallArgs{I: [6]uint64{uint64(to)}})
+	ret := c.T.SetPersona(kernel.SysSetPersona, to)
 	return persona.Kind(ret.R0), ret.Errno
 }
 

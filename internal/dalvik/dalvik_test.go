@@ -12,8 +12,20 @@ import (
 	"repro/internal/vfs"
 )
 
-// runVM executes method main of f on a fresh simulated thread.
+// runVM executes method of f on a fresh simulated thread and fails the
+// test if the VM reports an error.
 func runVM(t *testing.T, f *File, method string, args ...uint64) (uint64, time.Duration) {
+	t.Helper()
+	ret, elapsed, err := execVM(t, f, method, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ret, elapsed
+}
+
+// execVM executes method of f on a fresh simulated thread and returns the
+// result, the virtual time it took and the VM's error.
+func execVM(t *testing.T, f *File, method string, args ...uint64) (uint64, time.Duration, error) {
 	t.Helper()
 	s := sim.New()
 	fs := vfs.New()
@@ -43,10 +55,7 @@ func runVM(t *testing.T, f *File, method string, args ...uint64) (uint64, time.D
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	return ret, elapsed
+	return ret, elapsed, rerr
 }
 
 // sumLoop builds: for (i=0; i<n; i++) acc+=i; return acc.
@@ -99,24 +108,7 @@ func TestDivideByZeroTraps(t *testing.T) {
 		Op3(OpDiv, 3, 1, 2).
 		Return(3).
 		MustAssemble()
-	f := &File{Methods: []Method{m}}
-	s := sim.New()
-	fs := vfs.New()
-	reg := prog.NewRegistry()
-	k, _ := kernel.New(s, kernel.Config{Profile: kernel.ProfileLinuxVanilla, Device: hw.Nexus7(), Root: fs, Registry: reg})
-	k.InstallLinuxTable()
-	k.RegisterBinFmt(&kernel.ELFLoader{})
-	var rerr error
-	reg.MustRegister("div0", func(c *prog.Call) uint64 {
-		vm := NewVM(hw.Nexus7().CPU)
-		_, rerr = vm.Run(c.Ctx.(*kernel.Thread), f, "main")
-		return 0
-	})
-	bin, _ := prog.StaticELF("div0")
-	fs.WriteFile("/bin/d", bin)
-	k.StartProcess("/bin/d", nil)
-	s.Run()
-	if rerr == nil {
+	if _, _, err := execVM(t, &File{Methods: []Method{m}}, "main"); err == nil {
 		t.Fatal("divide by zero must error")
 	}
 }
@@ -148,25 +140,35 @@ func TestArrayBoundsTrap(t *testing.T) {
 		ALoad(1, 2, 3).
 		Return(1).
 		MustAssemble()
-	f := &File{Methods: []Method{m}}
-	s := sim.New()
-	fs := vfs.New()
-	reg := prog.NewRegistry()
-	k, _ := kernel.New(s, kernel.Config{Profile: kernel.ProfileLinuxVanilla, Device: hw.Nexus7(), Root: fs, Registry: reg})
-	k.InstallLinuxTable()
-	k.RegisterBinFmt(&kernel.ELFLoader{})
-	var rerr error
-	reg.MustRegister("oob", func(c *prog.Call) uint64 {
-		vm := NewVM(hw.Nexus7().CPU)
-		_, rerr = vm.Run(c.Ctx.(*kernel.Thread), f, "main")
-		return 0
-	})
-	bin, _ := prog.StaticELF("oob")
-	fs.WriteFile("/bin/o", bin)
-	k.StartProcess("/bin/o", nil)
-	s.Run()
-	if rerr == nil {
+	if _, _, err := execVM(t, &File{Methods: []Method{m}}, "main"); err == nil {
 		t.Fatal("out-of-bounds access must error")
+	}
+}
+
+// TestMalformedCodeFailsVerification runs one-method programs that each
+// indexed past a slice inside the interpreter, panicking the host. The
+// verifier must reject each before it runs, charging no virtual time.
+func TestMalformedCodeFailsVerification(t *testing.T) {
+	callee := NewAssembler("callee", 1).Return(0).MustAssemble()
+	cases := []struct {
+		name string
+		m    Method
+	}{
+		{"register past the frame", NewAssembler("main", 2).Op3(OpAdd, 0, 1, 5).Return(0).MustAssemble()},
+		{"const without extension word", Method{Name: "main", Registers: 2, Code: []uint32{ins(OpConst, 0, 0, 0)}}},
+		{"negative goto target", Method{Name: "main", Registers: 1, Code: []uint32{ins(OpGoto, 0, 0, 0), uint32(0xFFFFFFFF)}}},
+		{"invoke window past the frame", NewAssembler("main", 2).Invoke(0, 1, 1, 4).Return(0).MustAssemble()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, elapsed, err := execVM(t, &File{Methods: []Method{tc.m, callee}}, "main")
+			if err == nil {
+				t.Fatal("malformed method ran without error")
+			}
+			if elapsed != 0 {
+				t.Fatalf("verification charged %v of virtual time", elapsed)
+			}
+		})
 	}
 }
 

@@ -60,7 +60,111 @@ func (vm *VM) Run(t *kernel.Thread, f *File, method string, args ...uint64) (uin
 	if !ok {
 		return 0, fmt.Errorf("dalvik: no method %q", method)
 	}
+	for i := range f.Methods {
+		if err := f.Methods[i].verify(); err != nil {
+			return 0, err
+		}
+	}
 	return vm.call(t, f, idx, args, 0)
+}
+
+// Operand roles of each opcode, for the verifier.
+const (
+	regB1     uint8 = 1 << iota // byte 1 names a register
+	regB2                       // byte 2 names a register
+	regB3                       // byte 3 names a register
+	extWord                     // one extension word follows
+	branch                      // the extension word is an absolute branch target
+	argWindow                   // registers [byte 3, byte 3 + ext) are call arguments
+)
+
+// opRoles gives each defined opcode's operand roles; the zero entry of an
+// undefined opcode is right, since the interpreter rejects it at dispatch.
+var opRoles = [numOps]uint8{
+	OpConst:  regB1 | extWord,
+	OpMove:   regB1 | regB2,
+	OpAdd:    regB1 | regB2 | regB3,
+	OpSub:    regB1 | regB2 | regB3,
+	OpMul:    regB1 | regB2 | regB3,
+	OpDiv:    regB1 | regB2 | regB3,
+	OpRem:    regB1 | regB2 | regB3,
+	OpXor:    regB1 | regB2 | regB3,
+	OpAnd:    regB1 | regB2 | regB3,
+	OpOr:     regB1 | regB2 | regB3,
+	OpShl:    regB1 | regB2 | regB3,
+	OpShr:    regB1 | regB2 | regB3,
+	OpDAdd:   regB1 | regB2 | regB3,
+	OpDMul:   regB1 | regB2 | regB3,
+	OpDDiv:   regB1 | regB2 | regB3,
+	OpI2D:    regB1 | regB2,
+	OpCmp:    regB1 | regB2 | regB3,
+	OpIf:     regB1 | extWord | branch,
+	OpGoto:   extWord | branch,
+	OpNewArr: regB1 | regB2,
+	OpALoad:  regB1 | regB2 | regB3,
+	OpAStore: regB1 | regB2 | regB3,
+	OpArrLen: regB1 | regB2,
+	OpInvoke: regB1 | extWord | argWindow,
+	OpIntrin: regB1 | extWord | argWindow,
+	OpReturn: regB1,
+}
+
+// verify checks a method before it runs, the way Android's dexopt does at
+// install time: every register operand lies inside the frame, every
+// extension word is present, every branch lands on an instruction, every
+// OpIf condition is defined, and every call's argument window fits the
+// frame. The interpreter then never indexes out of range, so malformed
+// code is an error rather than a host panic. It charges no virtual time.
+func (m *Method) verify() error {
+	bad := func(pc int, what string) error {
+		return fmt.Errorf("dalvik: verify %s: %s at %d", m.Name, what, pc)
+	}
+	if m.Registers < 0 {
+		return bad(0, "negative frame size")
+	}
+	code := m.Code
+	starts := make([]bool, len(code)+1)
+	starts[len(code)] = true // falling off the end returns 0
+	for pc := 0; pc < len(code); pc++ {
+		starts[pc] = true
+		w := code[pc]
+		op := uint8(w)
+		if op >= numOps {
+			continue
+		}
+		roles := opRoles[op]
+		for i, role := range [3]uint8{regB1, regB2, regB3} {
+			if roles&role != 0 && int(uint8(w>>(8*(i+1)))) >= m.Registers {
+				return bad(pc, "register operand outside the frame")
+			}
+		}
+		if op == OpIf && uint8(w>>16) > IfLe {
+			return bad(pc, "undefined branch condition")
+		}
+		if roles&extWord == 0 {
+			continue
+		}
+		if pc+1 >= len(code) {
+			return bad(pc, "missing extension word")
+		}
+		if roles&argWindow != 0 && int(uint8(w>>24))+int(code[pc+1]) > m.Registers {
+			return bad(pc, "argument window outside the frame")
+		}
+		pc++
+	}
+	for pc := 0; pc < len(code); pc++ {
+		op := uint8(code[pc])
+		if op >= numOps || opRoles[op]&extWord == 0 {
+			continue
+		}
+		pc++
+		if opRoles[op]&branch != 0 {
+			if target := int(int32(code[pc])); target < 0 || target > len(code) || !starts[target] {
+				return bad(pc-1, "branch target off an instruction")
+			}
+		}
+	}
+	return nil
 }
 
 // maxDepth bounds recursion.
@@ -210,7 +314,9 @@ func (vm *VM) call(t *kernel.Thread, f *File, midx int, args []uint64, depth int
 			nextArrayID++
 			fr.arrays[id] = make([]uint64, n)
 			fr.regs[b1] = id
-			charge(float64(n)/8 + 40) // zeroing cost
+			// Zeroing cost. The conversion rounds the quotient, so no
+			// architecture may fuse it with the add into one FMA.
+			charge(float64(float64(n)/8) + 40)
 		case OpALoad:
 			arr, ok := fr.arrays[fr.regs[b2]]
 			if !ok {

@@ -83,38 +83,52 @@ func (e *Engine) Wrap(domesticKey string) prog.Func {
 				tr.Count(trace.CounterDiplomatResolves, 1)
 			}
 		}
-		// Step 2: save the arguments on the stack.
-		t.Charge(e.saveCost)
-		// Step 3: set_persona to the domestic persona, via the foreign
-		// table's trap ("available from all personas").
-		from := t.Persona.Current()
-		setPersonaNum := abi.SetPersonaTrap
-		if from == persona.Android {
-			setPersonaNum = kernel.SysSetPersona
-		}
-		t.Syscall(setPersonaNum, &kernel.SyscallArgs{I: [6]uint64{uint64(persona.Android)}})
-		// Step 4: restore the arguments.
-		t.Charge(e.saveCost)
-		// Step 5: direct invocation through the cached symbol.
-		ret := cached(&prog.Call{Ctx: t, Args: c.Args})
-		// Step 6: save the return value.
-		t.Charge(e.saveCost)
-		// Step 7: switch back, trapping through the *domestic* table now.
-		t.Syscall(kernel.SysSetPersona, &kernel.SyscallArgs{I: [6]uint64{uint64(from)}})
-		// Step 8: convert domestic TLS values into the foreign TLS area.
-		t.Charge(e.errnoCost)
-		domErrno := t.Persona.TLS(persona.Android).Errno
-		if domErrno != 0 {
-			t.Persona.TLS(persona.IOS).Errno = kernel.ErrnoToXNU(kernel.Errno(domErrno))
-		}
-		// Step 9: restore the result and return.
-		t.Charge(e.saveCost)
-		e.calls++
-		if tr := e.k.Tracer(); tr != nil {
-			tr.Count(trace.CounterDiplomatCalls, 1)
-		}
-		return ret
+		return e.hop(t, cached, c)
 	}
+}
+
+// hop performs steps 2–9 of the arbitration around the resolved domestic
+// function fn. Step 5 hands fn the caller's own Call: its Ctx is already
+// t and its Args are the arguments to forward, so a copy would hold the
+// same two values.
+//
+//hot:noalloc
+func (e *Engine) hop(t *kernel.Thread, fn prog.Func, c *prog.Call) uint64 {
+	// Step 2: save the arguments on the stack.
+	t.Charge(e.saveCost)
+	// Step 3: set_persona to the domestic persona, via the foreign
+	// table's trap ("available from all personas").
+	from := t.Persona.Current()
+	t.SetPersona(setPersonaNum(from), persona.Android)
+	// Step 4: restore the arguments.
+	t.Charge(e.saveCost)
+	// Step 5: direct invocation through the cached symbol.
+	ret := fn(c)
+	// Step 6: save the return value.
+	t.Charge(e.saveCost)
+	// Step 7: switch back, trapping through the *domestic* table now.
+	t.SetPersona(kernel.SysSetPersona, from)
+	// Step 8: convert domestic TLS values into the foreign TLS area.
+	t.Charge(e.errnoCost)
+	domErrno := t.Persona.TLS(persona.Android).Errno
+	if domErrno != 0 {
+		t.Persona.TLS(persona.IOS).Errno = kernel.ErrnoToXNU(kernel.Errno(domErrno))
+	}
+	// Step 9: restore the result and return.
+	t.Charge(e.saveCost)
+	e.calls++
+	if tr := e.k.Tracer(); tr != nil {
+		tr.Count(trace.CounterDiplomatCalls, 1)
+	}
+	return ret
+}
+
+// setPersonaNum is set_persona's trap number in the table of persona from.
+func setPersonaNum(from persona.Kind) int {
+	if from == persona.Android {
+		return kernel.SysSetPersona
+	}
+	return abi.SetPersonaTrap
 }
 
 // Batch performs one arbitration round trip around fn: switch to the
@@ -124,14 +138,10 @@ func (e *Engine) Wrap(domesticKey string) prog.Func {
 // diplomat" — benchmarked by BenchmarkAblationDiplomatAggregation.
 func (e *Engine) Batch(t *kernel.Thread, fn func()) {
 	from := t.Persona.Current()
-	setPersonaNum := abi.SetPersonaTrap
-	if from == persona.Android {
-		setPersonaNum = kernel.SysSetPersona
-	}
 	t.Charge(e.saveCost)
-	t.Syscall(setPersonaNum, &kernel.SyscallArgs{I: [6]uint64{uint64(persona.Android)}})
+	t.SetPersona(setPersonaNum(from), persona.Android)
 	fn()
-	t.Syscall(kernel.SysSetPersona, &kernel.SyscallArgs{I: [6]uint64{uint64(from)}})
+	t.SetPersona(kernel.SysSetPersona, from)
 	t.Charge(e.errnoCost + e.saveCost)
 	e.calls++
 	if tr := e.k.Tracer(); tr != nil {

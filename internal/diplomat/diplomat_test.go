@@ -143,3 +143,59 @@ func TestGenerateOrderingDeterministic(t *testing.T) {
 	}
 	_ = diplomat.Spec{}
 }
+
+// TestDiplomatHopAllocFree pins the diplomat hop at zero heap allocations:
+// twice the hops, from either persona, must allocate exactly as much as
+// half as many. An allocating hop would tax every iOS GL call on Cider.
+// The set_persona traps share one read-only argument table, so after hops
+// from both personas every entry must still switch to its own persona.
+func TestDiplomatHopAllocFree(t *testing.T) {
+	onIOS(t, func(th *kernel.Thread, sys *core.System) {
+		sys.Registry.MustRegister("dom-add", func(c *prog.Call) uint64 { return c.Arg(0) + c.Arg(1) })
+		dip := sys.Diplomat.Wrap("dom-add")
+		call := &prog.Call{Ctx: th, Args: []uint64{40, 2}}
+		dip(call) // resolve once, outside the measurement
+		wrong := 0
+		hops := func(n int) func() {
+			return func() {
+				for i := 0; i < n; i++ {
+					if dip(call) != 42 {
+						wrong++
+					}
+				}
+			}
+		}
+		for _, from := range []persona.Kind{persona.IOS, persona.Android} {
+			if ret := th.SetPersona(kernel.SysSetPersona, from); ret.Errno != kernel.OK {
+				t.Errorf("set_persona(%v): errno %v", from, ret.Errno)
+				return
+			}
+			short := testing.AllocsPerRun(10, hops(1000))
+			long := testing.AllocsPerRun(10, hops(2000))
+			if short != long {
+				t.Errorf("from %v: %v allocs at 1000 hops, %v at 2000; want equal (a hop allocates)", from, short, long)
+			}
+			if th.Persona.Current() != from {
+				t.Errorf("hops from %v returned in %v", from, th.Persona.Current())
+			}
+		}
+		if wrong != 0 {
+			t.Errorf("%d hops returned a wrong result", wrong)
+		}
+		for _, to := range []persona.Kind{persona.IOS, persona.Android, persona.IOS} {
+			prev := th.Persona.Current()
+			ret := th.SetPersona(kernel.SysSetPersona, to)
+			if ret.Errno != kernel.OK || persona.Kind(ret.R0) != prev || th.Persona.Current() != to {
+				t.Errorf("set_persona(%v) from %v: ret %+v, now %v", to, prev, ret, th.Persona.Current())
+			}
+		}
+		for _, bad := range []persona.Kind{-1, persona.Kind(persona.NumKinds)} {
+			if ret := th.SetPersona(kernel.SysSetPersona, bad); ret.Errno != kernel.EINVAL {
+				t.Errorf("set_persona(%d): errno %v, want EINVAL", bad, ret.Errno)
+			}
+			if th.Persona.Current() != persona.IOS {
+				t.Errorf("set_persona(%d) switched to %v", bad, th.Persona.Current())
+			}
+		}
+	})
+}

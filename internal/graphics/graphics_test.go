@@ -408,3 +408,42 @@ func TestWebKitStyleMultithreadedGLLimitation(t *testing.T) {
 		t.Errorf("iPad: cross-thread SetCurrent = %d, want 1", got)
 	}
 }
+
+// TestGLCallAllocFree pins an iOS GL call at zero heap allocations on both
+// configs that run the Fig. 6 3D tests: diplomatic on Cider, native on the
+// iPad. It issues the scene3D mix (seven uniform updates per draw), and
+// twice the calls must allocate exactly as much as half as many.
+func TestGLCallAllocFree(t *testing.T) {
+	for _, cfg := range []core.Config{core.ConfigCider, core.ConfigIPad} {
+		runIOSApp(t, cfg, func(th *kernel.Thread, sys *core.System) {
+			gl, err := graphics.BindIOSGL(th)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ctx := gl.Call("_EAGLContextCreate")
+			gl.Call("_EAGLContextSetCurrent", ctx)
+			if gl.Call("_EAGLRenderbufferStorageFromDrawable", ctx, 1024, 768) != 1 {
+				t.Error("renderbuffer storage failed")
+				return
+			}
+			calls := func(n int) func() {
+				return func() {
+					for k := 0; k < n; k++ {
+						if k%8 == 7 {
+							gl.Call("_glDrawArrays", 4, 0, 64)
+						} else {
+							gl.Call("_glUniformMatrix4fv", uint64(k), 1, 0, 0)
+						}
+					}
+				}
+			}
+			calls(8)() // resolve every diplomat once, outside the measurement
+			short := testing.AllocsPerRun(10, calls(800))
+			long := testing.AllocsPerRun(10, calls(1600))
+			if short != long {
+				t.Errorf("%v: %v allocs at 800 GL calls, %v at 1600; want equal (a GL call allocates)", cfg, short, long)
+			}
+		})
+	}
+}

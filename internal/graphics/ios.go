@@ -241,16 +241,24 @@ func InstallNativeIOSGraphics(reg *prog.Registry, gl *GLES, bridge *EAGLBridge, 
 // GL is an app-side binding: function pointers resolved through dyld, the
 // way a real app's lazy stubs bind GL entry points.
 type GL struct {
-	t   *kernel.Thread
 	fns map[string]prog.Func
+	// call is the one Call every GL call passes, bound to the binding's
+	// thread; argv backs its Args. A callee must not keep either after it
+	// returns (DESIGN.md, simulation invariants).
+	call prog.Call
+	argv [maxGLArgs]uint64
 }
+
+// maxGLArgs is the widest GL ES 2.0 entry point's arity (glTexImage2D).
+// A wider call still passes every argument; only its copy allocates.
+const maxGLArgs = 9
 
 // BindIOSGL resolves the iOS GL + EAGL + IOSurface surface for the calling
 // thread's process. Every resolved symbol goes through the loaded-image
 // table, so interposition (Cider's replacement libraries) takes effect
 // exactly as on device.
 func BindIOSGL(t *kernel.Thread) (*GL, error) {
-	g := &GL{t: t, fns: make(map[string]prog.Func)}
+	g := &GL{fns: make(map[string]prog.Func), call: prog.Call{Ctx: t}}
 	for _, sym := range append(IOSGLExports(), IOSurfaceExports...) {
 		fn, ok := dyld.ResolveSymbol(t, sym)
 		if !ok {
@@ -261,13 +269,17 @@ func BindIOSGL(t *kernel.Thread) (*GL, error) {
 	return g, nil
 }
 
-// Call invokes a bound symbol.
+// Call invokes a bound symbol on the binding's thread. args is copied, so
+// it never outlives the call.
+//
+//hot:noalloc
 func (g *GL) Call(sym string, args ...uint64) uint64 {
 	fn, ok := g.fns[sym]
 	if !ok {
 		return ^uint64(0)
 	}
-	return fn(&prog.Call{Ctx: g.t, Args: args})
+	g.call.Args = append(g.argv[:0], args...)
+	return fn(&g.call)
 }
 
 func parseMachO(fs *vfs.FS, path string) (*macho.File, error) {

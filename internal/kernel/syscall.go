@@ -142,15 +142,24 @@ func (tb *SyscallTable) Lookup(num int) (SyscallHandler, bool) {
 	return h, ok
 }
 
-// NameOf returns the registered name of a syscall number.
+// NameOf returns the registered name of a syscall number, or "sys_<num>"
+// when none is registered.
 func (tb *SyscallTable) NameOf(num int) string {
-	if uint(num) < uint(len(tb.denseNames)) && tb.dense[num] != nil {
-		return tb.denseNames[num]
-	}
-	if n, ok := tb.outlierNames[num]; ok {
+	if n, ok := tb.name(num); ok {
 		return n
 	}
 	return fmt.Sprintf("sys_%d", num)
+}
+
+// name returns the registered name of a syscall number.
+//
+//hot:noalloc
+func (tb *SyscallTable) name(num int) (string, bool) {
+	if uint(num) < uint(len(tb.denseNames)) && tb.dense[num] != nil {
+		return tb.denseNames[num], true
+	}
+	n, ok := tb.outlierNames[num]
+	return n, ok
 }
 
 // Len returns the number of registered handlers.
@@ -164,15 +173,18 @@ func (tb *SyscallTable) Len() int {
 	return n
 }
 
-// Syscall is the kernel trap entry: every simulated user-space trap funnels
-// through here. It charges entry/exit costs, performs Cider's per-entry
-// persona check, dispatches through the calling thread's persona table, and
-// delivers pending signals on the return path.
 // emptySyscallArgs normalizes nil args without a per-call allocation.
 // Handlers treat their args as read-only (they are the copied-in user
 // registers), so sharing one zero value across all argless traps is safe.
 var emptySyscallArgs = &SyscallArgs{}
 
+// Syscall is the kernel trap entry: every simulated user-space trap funnels
+// through here. It charges entry/exit costs, performs Cider's per-entry
+// persona check, dispatches through the calling thread's persona table, and
+// delivers pending signals on the return path. Only its trace, fault-plan
+// and signal-delivery branches allocate.
+//
+//hot:noalloc
 func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 	k := t.k
 	if a == nil {
@@ -194,9 +206,12 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 	if tr != nil {
 		trStart = t.proc.Now()
 		trPersona = t.Persona.Current()
+		named := false
 		if table != nil {
-			trName = table.NameOf(num)
-		} else {
+			trName, named = table.name(num)
+		}
+		if !named {
+			//lint:allow hotalloc: trace-only: a trap with no registered handler is named by its number
 			trName = fmt.Sprintf("sys_%d", num)
 		}
 		tr.SyscallEnter(t.proc.Name(), t.proc.ID(), trPersona, num, trName, trStart)
@@ -253,7 +268,9 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 		// plan actually carries syscall rules; the common uninjected run
 		// never concatenates strings here.
 		if !injected && in.Has(fault.OpSyscall) {
-			key := t.Persona.Current().String() + "/" + table.NameOf(num)
+			name, _ := table.name(num)
+			//lint:allow hotalloc: fault-plan-only: the decision key is built only when the plan has syscall rules
+			key := t.Persona.Current().String() + "/" + name
 			if out, fire := in.Syscall(t.proc.Now(), key); fire {
 				if out.Delay > 0 {
 					t.charge(out.Delay)
@@ -288,6 +305,7 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 	// Signal delivery happens on the syscall return path, so its cost is
 	// part of the trap the histogram attributes it to (lmbench's lat_sig
 	// measures exactly this: kill + delivery in one round trip).
+	//lint:allow hotalloc: signal delivery runs only with a signal pending, and only a fatal default disposition (task exit) allocates
 	t.checkSignals()
 	if tr != nil {
 		tr.SyscallExit(t.proc.Name(), t.proc.ID(), trPersona, num, trName,
@@ -426,6 +444,35 @@ func sysSetPersona(t *Thread, a *SyscallArgs) SyscallRet {
 	t.charge(t.k.costs.SetPersonaCost)
 	prev := t.Persona.Switch(to)
 	return SyscallRet{R0: uint64(prev)}
+}
+
+// setPersonaArgs holds set_persona's argument registers for every target
+// persona, and badPersonaArgs one out-of-range target. sysSetPersona reads
+// only I[0], and the XNU table registers it untranslated, so every trap
+// shares these read-only values instead of building its own.
+var (
+	setPersonaArgs = func() (a [persona.NumKinds]SyscallArgs) {
+		for k := range a {
+			a[k].I[0] = uint64(k)
+		}
+		return a
+	}()
+	badPersonaArgs = SyscallArgs{I: [6]uint64{uint64(persona.NumKinds)}}
+)
+
+// SetPersona traps into set_persona through syscall number num, switching
+// the thread to persona to. The number names the table the trap enters
+// by: kernel.SysSetPersona from the Linux table, the XNU table's own
+// number from iOS. An out-of-range persona still pays the trap and fails
+// with EINVAL.
+//
+//hot:noalloc
+func (t *Thread) SetPersona(num int, to persona.Kind) SyscallRet {
+	a := &badPersonaArgs
+	if to >= 0 && int(to) < persona.NumKinds {
+		a = &setPersonaArgs[to]
+	}
+	return t.Syscall(num, a)
 }
 
 // openInternal resolves a path and produces a descriptor: regular files

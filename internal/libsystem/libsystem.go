@@ -283,7 +283,7 @@ func (c *C) DispatchSourceMemoryPressure(handler func(flags int)) {
 
 // SetPersona switches the calling thread's persona via Cider's syscall.
 func (c *C) SetPersona(to persona.Kind) persona.Kind {
-	ret := c.T.Syscall(abi.SetPersonaTrap, &kernel.SyscallArgs{I: [6]uint64{uint64(to)}})
+	ret := c.T.SetPersona(abi.SetPersonaTrap, to)
 	return persona.Kind(ret.R0)
 }
 

@@ -37,7 +37,9 @@ func nativeFloating(c *ctx, n int64) uint64 {
 	f := 10001.0 / 10000.0
 	acc := 1.0
 	for i := int64(0); i < n; i++ {
-		acc = acc * f
+		// The conversion rounds the product, so no architecture may fuse
+		// it with the add (the DEX build rounds it into a register too).
+		acc = float64(acc * f)
 		acc = acc + f
 		acc = acc / f
 	}
