@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures race profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore perfbench-test verify
+.PHONY: build test vet lint race profile soak soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck diffcheck-smoke replay-smoke explore perfbench-test verify
 
 build:
 	$(GO) build ./...
@@ -16,12 +16,6 @@ vet:
 # the trailing findings/allowed/analyzers summary line.
 lint:
 	$(GO) run ./cmd/ciderlint -timing ./...
-
-# lint-fixtures is the bounded analyzer smoke wired into verify: the
-# want-annotated fixture suites prove each analyzer still fires on its
-# known-bad shapes (a regression here means the tree gate is toothless).
-lint-fixtures:
-	$(GO) test -count=1 -run 'TestWallclock|TestChargeCheck|TestWakeTag|TestTracePure|TestTableComplete|TestXlateCheck|TestLockOrder|TestHotAlloc|TestDirectives|TestAnalyzersDeterministic' ./internal/analysis
 
 test:
 	$(GO) test ./...
@@ -106,8 +100,9 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # verify is the tier-1 gate: everything must build, vet clean, pass
-# ciderlint, pass the full test suite under the race detector, pass the
-# benchmark module's reference checks, run the soak and diffcheck
-# harnesses once end to end, and prove the record/replay round trip is
-# bit-identical.
-verify: build vet lint lint-fixtures race perfbench-test soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke
+# ciderlint, pass the full test suite under the race detector (the
+# analyzers' want-annotated fixture suites in internal/analysis included),
+# pass the benchmark module's reference checks, run the soak and
+# diffcheck harnesses once end to end, and prove the record/replay round
+# trip is bit-identical.
+verify: build vet lint race perfbench-test soak-smoke soak-smoke-crash soak-smoke-pressure diffcheck-smoke replay-smoke

@@ -7,13 +7,16 @@
 // Linux primitives and the duct-taped subsystems in internal/xnu.
 //
 // iOS binaries trap into the kernel in four different ways (the four trap
-// classes); the XNU table demultiplexes them, and its per-call Entry/Exit
-// extras carry the translation costs that produce the 40% null-syscall
-// overhead of Fig. 5.
+// classes); the XNU table demultiplexes them. The table is marked as
+// translating, so every call through it is priced from the cost table:
+// the kernel charges the trap-demux and translation costs that produce
+// the 40% null-syscall overhead of Fig. 5 (all zero on the iPad, where
+// the ABI is native).
 package abi
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/iokit"
@@ -167,35 +170,34 @@ func SetCarrier(t *kernel.Thread, c *MsgCarrier) {
 	t.Task().SetUserData(carrierKey(t), c)
 }
 
-// InstallXNUTable builds the iOS persona's syscall dispatch table and
-// installs it on the kernel. It requires the Linux table (translation
-// wrappers call into its handlers) and the duct-taped Mach IPC / psynch
-// subsystems.
-func InstallXNUTable(k *kernel.Kernel) *kernel.SyscallTable {
-	return installXNU(k, false)
+// xnuTables are the process-wide XNU syscall tables, each built once on
+// first use and read-only afterwards: index 0 serves the iPad's native XNU
+// kernel, index 1 the persona-aware Cider kernel, whose table also
+// registers set_persona.
+var xnuTables = [2]func() *kernel.SyscallTable{
+	sync.OnceValue(func() *kernel.SyscallTable { return buildXNUTable(false) }),
+	sync.OnceValue(func() *kernel.SyscallTable { return buildXNUTable(true) }),
 }
 
-// InstallNativeXNUTable builds the XNU table for a kernel where the XNU
-// ABI is native (the iPad mini configuration): the same operations with no
-// demux/translation extras, and no Android persona table exposed.
-func InstallNativeXNUTable(k *kernel.Kernel) *kernel.SyscallTable {
-	// The generic operation implementations live in the Linux table
-	// builder; install it as a substrate, build the native XNU view, then
-	// withdraw the Android-persona table (an iPad runs no Linux ABI).
-	k.InstallLinuxTable()
-	tb := installXNU(k, true)
-	k.SetSyscallTable(persona.Android, nil)
-	return tb
-}
-
-func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
-	linux := k.SyscallTableFor(persona.Android)
-	costs := k.Costs()
-	tb := kernel.NewSyscallTable("xnu")
-	if !native {
-		tb.EntryExtra = costs.XNUTrapDemux + costs.XNUArgTranslate
-		tb.ExitExtra = costs.XNURetTranslate
+// XNUTable returns the shared iOS-persona syscall table. Kernels install
+// it with SetSyscallTable; personaAware selects the Cider variant, built
+// over kernel.LinuxTable(true) and with set_persona registered. Its Mach
+// and psynch traps need the duct-taped subsystems (xnu.InstallIPC,
+// xnu.InstallPsynch) on the trapping kernel.
+func XNUTable(personaAware bool) *kernel.SyscallTable {
+	if personaAware {
+		return xnuTables[1]()
 	}
+	return xnuTables[0]()
+}
+
+// buildXNUTable builds one XNU table. Its BSD calls wrap the Linux
+// table's handlers, so the iPad's table wraps a Linux table as well,
+// although no iPad kernel installs one.
+func buildXNUTable(personaAware bool) *kernel.SyscallTable {
+	linux := kernel.LinuxTable(personaAware)
+	tb := kernel.NewSyscallTable("xnu")
+	tb.Translates = true
 
 	// wrap forwards an XNU syscall to the Linux implementation of the
 	// same operation, optionally transforming arguments first. This is
@@ -435,13 +437,11 @@ func installXNU(k *kernel.Kernel, native bool) *kernel.SyscallTable {
 		})
 
 	// set_persona is reachable from all personas (Section 4.3).
-	if k.PersonaAware() {
+	if personaAware {
 		if h, ok := linux.Lookup(kernel.SysSetPersona); ok {
 			tb.Register(SetPersonaTrap, "set_persona", h)
 			tb.Register(kernel.SysSetPersona, "set_persona", h)
 		}
 	}
-
-	k.SetSyscallTable(persona.IOS, tb)
 	return tb
 }

@@ -37,12 +37,10 @@ func newEnv(t testing.TB, profile kernel.Profile) *env {
 	if _, err := xnu.InstallPsynch(k, dt); err != nil {
 		t.Fatal(err)
 	}
-	if profile == kernel.ProfileXNUNative {
-		InstallNativeXNUTable(k)
-	} else {
-		k.InstallLinuxTable()
-		InstallXNUTable(k)
+	if profile != kernel.ProfileXNUNative {
+		k.SetSyscallTable(persona.Android, kernel.LinuxTable(k.PersonaAware()))
 	}
+	k.SetSyscallTable(persona.IOS, XNUTable(k.PersonaAware()))
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	return &env{s: s, k: k, fs: fs}
 }
@@ -269,17 +267,66 @@ func TestNullSyscallIOSPersonaOverhead(t *testing.T) {
 	}
 }
 
+// TestNativeXNUTableHasNoTranslationCost prices one iOS null syscall on
+// each kernel that serves the XNU ABI. The translation charges come from
+// the kernel's cost table at trap time: zero on the iPad, where the ABI is
+// native, and the trap-demux plus argument and return translation on
+// Cider, on top of its persona check.
 func TestNativeXNUTableHasNoTranslationCost(t *testing.T) {
-	e := newEnv(t, kernel.ProfileXNUNative)
-	tb := e.k.SyscallTableFor(persona.IOS)
-	if tb == nil {
-		t.Fatal("no iOS table on XNU-native kernel")
+	nullSyscall := func(e *env) time.Duration {
+		var d time.Duration
+		e.runIOS(t, func(th *kernel.Thread) {
+			start := th.Now()
+			th.Syscall(XNUGetppid, nil)
+			d = th.Now() - start
+		})
+		return d
 	}
-	if tb.EntryExtra != 0 || tb.ExitExtra != 0 {
-		t.Fatalf("native table extras = %v/%v, want zero", tb.EntryExtra, tb.ExitExtra)
+
+	ipad := newEnv(t, kernel.ProfileXNUNative)
+	c := ipad.k.Costs()
+	if got, want := nullSyscall(ipad), c.SyscallEntry+c.SyscallExit; got != want {
+		t.Errorf("iPad null syscall = %v, want entry+exit = %v", got, want)
 	}
-	if e.k.SyscallTableFor(persona.Android) != nil {
-		t.Fatal("XNU-native kernel must not expose a Linux ABI")
+	if ipad.k.SyscallTableFor(persona.Android) != nil {
+		t.Error("XNU-native kernel must not expose a Linux ABI")
+	}
+
+	cider := newEnv(t, kernel.ProfileCider)
+	c = cider.k.Costs()
+	xlate := c.XNUTrapDemux + c.XNUArgTranslate + c.XNURetTranslate
+	if xlate == 0 {
+		t.Fatal("Cider cost table has no XNU translation cost")
+	}
+	want := c.SyscallEntry + c.PersonaCheck + c.SyscallExit + xlate
+	if got := nullSyscall(cider); got != want {
+		t.Errorf("Cider iOS null syscall = %v, want entry+check+exit+translation = %v", got, want)
+	}
+}
+
+// TestSetPersonaPricedByEntryTable pins the translation charge to the
+// table a trap entered by, not the persona it leaves in: set_persona
+// switches persona in the middle of its own call, so a diplomat's
+// iOS-to-Android hop pays the XNU return translation and the hop back
+// pays none.
+func TestSetPersonaPricedByEntryTable(t *testing.T) {
+	e := newEnv(t, kernel.ProfileCider)
+	c := e.k.Costs()
+	var toAndroid, toIOS time.Duration
+	e.runIOS(t, func(th *kernel.Thread) {
+		start := th.Now()
+		th.SetPersona(SetPersonaTrap, persona.Android)
+		toAndroid = th.Now() - start
+		start = th.Now()
+		th.SetPersona(kernel.SysSetPersona, persona.IOS)
+		toIOS = th.Now() - start
+	})
+	base := c.SyscallEntry + c.PersonaCheck + c.SetPersonaCost + c.SyscallExit
+	if want := base + c.XNUTrapDemux + c.XNUArgTranslate + c.XNURetTranslate; toAndroid != want {
+		t.Errorf("set_persona(android) from the XNU table = %v, want %v", toAndroid, want)
+	}
+	if toIOS != base {
+		t.Errorf("set_persona(ios) from the Linux table = %v, want %v", toIOS, base)
 	}
 }
 

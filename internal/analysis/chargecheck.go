@@ -7,7 +7,7 @@ import (
 
 // ChargeCheck verifies the paper's cost model is actually applied: every
 // handler registered in a kernel.SyscallTable must accrue virtual-time cost
-// (charge/Charge/Advance, or a blocking primitive) on every return path,
+// (Charge/Advance, or a blocking primitive) on every return path,
 // and every diplomat/dyld hop must accrue cost somewhere in its body. A
 // handler path that produces a SyscallRet without charging silently skews
 // the Fig. 5/6 latency decompositions.

@@ -12,7 +12,7 @@ import "go/types"
 var TracePure = &Analyzer{
 	Name: "tracepure",
 	Doc: "functions reachable from trace sink callbacks must not call " +
-		"Advance/Wake/charge: enabling a trace must not perturb the schedule",
+		"Advance/Wake/Charge: enabling a trace must not perturb the schedule",
 	Run: runTracePure,
 }
 
@@ -35,7 +35,7 @@ var simReentry = map[string]bool{
 	"Advance": true, "Wake": true, "WakeOne": true, "WakeAll": true,
 	"Spawn": true, "Park": true, "Sleep": true, "Yield": true,
 	"Wait": true, "WaitTimeout": true, "Exit": true,
-	"Charge": true, "Compute": true, "charge": true, "Syscall": true,
+	"Charge": true, "Syscall": true,
 }
 
 func isSinkRoot(fn *types.Func) bool {

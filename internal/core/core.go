@@ -34,6 +34,7 @@ import (
 	"repro/internal/ipa"
 	"repro/internal/kernel"
 	"repro/internal/libsystem"
+	"repro/internal/persona"
 	"repro/internal/prog"
 	"repro/internal/services"
 	"repro/internal/sim"
@@ -76,9 +77,6 @@ type Options struct {
 	// bug (Section 6.3); nil means the configuration default (buggy on
 	// Cider, correct on the iPad). The BenchmarkAblationFenceFix knob.
 	FixFences *bool
-	// Trace attaches a trace.Session at boot (equivalent to calling
-	// EnableTrace on the returned System).
-	Trace bool
 	// ExtendedDevices implements the Section 6.4 sketch on Cider: GPS via
 	// an I/O Kit driver plus diplomatic functions, and camera support by
 	// replacing the AVFoundation entry points with diplomats into the
@@ -86,8 +84,6 @@ type Options struct {
 	// supports neither, so CoreLocation reports "location unavailable"
 	// (the Yelp fallback path) and camera apps fail (the Facetime case).
 	ExtendedDevices bool
-	// Device overrides the hardware profile.
-	Device *hw.Device
 }
 
 // System is one booted device.
@@ -236,16 +232,14 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 	reg := prog.NewRegistry()
 	sys := &System{Config: cfg, Sim: s, Registry: reg, opts: o}
 
-	device := o.Device
+	var device *hw.Device
 	var err error
 	var root vfs.FileSystem
 	var profile kernel.Profile
 	var android, ios *bootImage
 	switch cfg {
 	case ConfigVanilla:
-		if device == nil {
-			device = hw.Nexus7()
-		}
+		device = hw.Nexus7()
 		profile = kernel.ProfileLinuxVanilla
 		if android, err = androidImage(); err != nil {
 			return nil, err
@@ -253,9 +247,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		sys.AndroidFS = android.fs.Clone()
 		root = sys.AndroidFS
 	case ConfigCider:
-		if device == nil {
-			device = hw.Nexus7()
-		}
+		device = hw.Nexus7()
 		profile = kernel.ProfileCider
 		if android, err = androidImage(); err != nil {
 			return nil, err
@@ -269,9 +261,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		// FS" (Section 3).
 		root = vfs.NewOverlay(sys.IOSFS, sys.AndroidFS)
 	case ConfigIPad:
-		if device == nil {
-			device = hw.IPadMini()
-		}
+		device = hw.IPadMini()
 		profile = kernel.ProfileXNUNative
 		if ios, err = iosImage(); err != nil {
 			return nil, err
@@ -298,13 +288,14 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		return nil, err
 	}
 
-	// Syscall tables, binary loaders, duct-taped subsystems.
+	// Syscall tables, binary loaders, duct-taped subsystems. The tables
+	// are the process-wide ones every boot of a configuration shares.
 	switch cfg {
 	case ConfigVanilla:
-		k.InstallLinuxTable()
+		k.SetSyscallTable(persona.Android, kernel.LinuxTable(false))
 		k.RegisterBinFmt(&kernel.ELFLoader{LinkerKey: bionic.LinkerKey})
 	case ConfigCider:
-		k.InstallLinuxTable()
+		k.SetSyscallTable(persona.Android, kernel.LinuxTable(true))
 		sys.DT = ducttape.NewEnv(k)
 		if sys.IPC, err = xnu.InstallIPC(k, sys.DT); err != nil {
 			return nil, err
@@ -312,7 +303,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		if sys.Psynch, err = xnu.InstallPsynch(k, sys.DT); err != nil {
 			return nil, err
 		}
-		abi.InstallXNUTable(k)
+		k.SetSyscallTable(persona.IOS, abi.XNUTable(true))
 		k.RegisterBinFmt(&kernel.ELFLoader{LinkerKey: bionic.LinkerKey})
 		k.RegisterBinFmt(&kernel.MachOLoader{})
 	case ConfigIPad:
@@ -323,7 +314,7 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 		if sys.Psynch, err = xnu.InstallPsynch(k, sys.DT); err != nil {
 			return nil, err
 		}
-		abi.InstallNativeXNUTable(k)
+		k.SetSyscallTable(persona.IOS, abi.XNUTable(false))
 		k.RegisterBinFmt(&kernel.MachOLoader{})
 	}
 
@@ -361,9 +352,6 @@ func NewSystem(cfg Config, opts ...Options) (*System, error) {
 	if err := sys.assembleDevices(); err != nil {
 		return nil, err
 	}
-	if o.Trace {
-		sys.EnableTrace()
-	}
 	return sys, nil
 }
 
@@ -383,8 +371,8 @@ func NewMinimalCider() (*System, error) {
 		return nil, err
 	}
 	sys := &System{Config: ConfigCider, Sim: s, Kernel: k, Registry: reg}
-	k.InstallLinuxTable()
-	abi.InstallXNUTable(k)
+	k.SetSyscallTable(persona.Android, kernel.LinuxTable(true))
+	k.SetSyscallTable(persona.IOS, abi.XNUTable(true))
 	sys.DT = ducttape.NewEnv(k)
 	if sys.IPC, err = xnu.InstallIPC(k, sys.DT); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/persona"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -36,7 +37,7 @@ func execVM(t *testing.T, f *File, method string, args ...uint64) (uint64, time.
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.InstallLinuxTable()
+	k.SetSyscallTable(persona.Android, kernel.LinuxTable(false))
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	var ret uint64
 	var rerr error
@@ -234,7 +235,7 @@ func TestIntrinsicJNI(t *testing.T) {
 	fs := vfs.New()
 	reg := prog.NewRegistry()
 	k, _ := kernel.New(s, kernel.Config{Profile: kernel.ProfileLinuxVanilla, Device: hw.Nexus7(), Root: fs, Registry: reg})
-	k.InstallLinuxTable()
+	k.SetSyscallTable(persona.Android, kernel.LinuxTable(false))
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	var got uint64
 	reg.MustRegister("jni", func(c *prog.Call) uint64 {

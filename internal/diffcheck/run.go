@@ -103,43 +103,15 @@ func cacheShed(th *kernel.Thread, st *memState) bool {
 // exist only in the XNU table, so the adapter brackets them with the
 // set_persona diplomat hop (normalization strips those events).
 type androidLibc struct {
-	c  *bionic.C
+	*bionic.C
 	ms *memState
 }
 
-func (a androidLibc) GetPID() int                          { return a.c.GetPID() }
-func (a androidLibc) GetPPID() int                         { return a.c.GetPPID() }
-func (a androidLibc) Pipe() (int, int, kernel.Errno)       { return a.c.Pipe() }
-func (a androidLibc) Socketpair() (int, int, kernel.Errno) { return a.c.Socketpair() }
-func (a androidLibc) Open(path string) (int, kernel.Errno) { return a.c.Open(path) }
-func (a androidLibc) OpenCreate(path string) (int, kernel.Errno) {
-	return a.c.OpenCreate(path)
-}
-func (a androidLibc) Creat(path string) (int, kernel.Errno) { return a.c.Creat(path) }
-func (a androidLibc) Dup(fd int) (int, kernel.Errno)        { return a.c.Dup(fd) }
-func (a androidLibc) Close(fd int) kernel.Errno             { return a.c.Close(fd) }
-func (a androidLibc) Read(fd int, buf []byte) (int, kernel.Errno) {
-	return a.c.Read(fd, buf)
-}
-func (a androidLibc) Write(fd int, buf []byte) (int, kernel.Errno) {
-	return a.c.Write(fd, buf)
-}
-func (a androidLibc) Unlink(path string) kernel.Errno { return a.c.Unlink(path) }
-func (a androidLibc) Select(req *kernel.SelectRequest) (*kernel.SelectResult, kernel.Errno) {
-	return a.c.Select(req)
-}
-func (a androidLibc) Kill(pid, sig int) kernel.Errno { return a.c.Kill(pid, sig) }
 func (a androidLibc) Sigaction(sig int, fn func(int)) kernel.Errno {
-	return a.c.Sigaction(sig, func(_ *kernel.Thread, got int) { fn(got) })
-}
-func (a androidLibc) Getrlimit(res int) (uint64, uint64, kernel.Errno) {
-	return a.c.Getrlimit(res)
-}
-func (a androidLibc) Setrlimit(res int, cur, max uint64) kernel.Errno {
-	return a.c.Setrlimit(res, cur, max)
+	return a.C.Sigaction(sig, func(_ *kernel.Thread, got int) { fn(got) })
 }
 func (a androidLibc) OnPressure(fn func(string)) {
-	a.c.OnTrimMemory(func(level int) {
+	a.OnTrimMemory(func(level int) {
 		lvl := "warn"
 		if level == bionic.TrimMemoryRunningCritical {
 			lvl = "critical"
@@ -147,18 +119,15 @@ func (a androidLibc) OnPressure(fn func(string)) {
 		fn(lvl)
 	})
 }
-func (a androidLibc) CacheInflate(n uint64) bool { return cacheInflate(a.c.T, a.ms, n) }
-func (a androidLibc) CacheShed() bool            { return cacheShed(a.c.T, a.ms) }
-func (a androidLibc) Errno() int                 { return a.c.Errno() }
+func (a androidLibc) CacheInflate(n uint64) bool { return cacheInflate(a.T, a.ms, n) }
+func (a androidLibc) CacheShed() bool            { return cacheShed(a.T, a.ms) }
 func (a androidLibc) Fork(child func(libc)) int {
-	return a.c.Fork(func(cc *bionic.C) { child(androidLibc{c: cc, ms: &memState{}}) })
+	return a.C.Fork(func(cc *bionic.C) { child(androidLibc{C: cc, ms: &memState{}}) })
 }
-func (a androidLibc) Wait(pid int) (int, int, kernel.Errno) { return a.c.Wait(pid) }
-func (a androidLibc) Exit(status int)                       { a.c.Exit(status) }
 func (a androidLibc) MachPingPong(id int32) (bool, int, int, int32) {
-	a.c.SetPersona(persona.IOS)
-	res := machPingPong(libsystem.Sys(a.c.T), id)
-	a.c.SetPersona(persona.Android)
+	a.SetPersona(persona.IOS)
+	res := machPingPong(libsystem.Sys(a.T), id)
+	a.SetPersona(persona.Android)
 	return res.ok, res.sendKR, res.recvKR, res.gotID
 }
 
@@ -166,47 +135,26 @@ func (a androidLibc) MachPingPong(id int32) (bool, int, int, int32) {
 // rlimit resource numbers are converted at this boundary, mirroring what
 // a comparison harness on real hardware does to a ktrace stream.
 type iosLibc struct {
-	c  *libsystem.C
+	*libsystem.C
 	ms *memState
 }
 
-func (a iosLibc) GetPID() int                          { return a.c.GetPID() }
-func (a iosLibc) GetPPID() int                         { return a.c.GetPPID() }
-func (a iosLibc) Pipe() (int, int, kernel.Errno)       { return a.c.Pipe() }
-func (a iosLibc) Socketpair() (int, int, kernel.Errno) { return a.c.Socketpair() }
-func (a iosLibc) Open(path string) (int, kernel.Errno) { return a.c.Open(path) }
-func (a iosLibc) OpenCreate(path string) (int, kernel.Errno) {
-	return a.c.OpenCreate(path)
-}
-func (a iosLibc) Creat(path string) (int, kernel.Errno) { return a.c.Creat(path) }
-func (a iosLibc) Dup(fd int) (int, kernel.Errno)        { return a.c.Dup(fd) }
-func (a iosLibc) Close(fd int) kernel.Errno             { return a.c.Close(fd) }
-func (a iosLibc) Read(fd int, buf []byte) (int, kernel.Errno) {
-	return a.c.Read(fd, buf)
-}
-func (a iosLibc) Write(fd int, buf []byte) (int, kernel.Errno) {
-	return a.c.Write(fd, buf)
-}
-func (a iosLibc) Unlink(path string) kernel.Errno { return a.c.Unlink(path) }
-func (a iosLibc) Select(req *kernel.SelectRequest) (*kernel.SelectResult, kernel.Errno) {
-	return a.c.Select(req)
-}
 func (a iosLibc) Kill(pid, sig int) kernel.Errno {
-	return a.c.Kill(pid, kernel.SignalToXNU(sig))
+	return a.C.Kill(pid, kernel.SignalToXNU(sig))
 }
 func (a iosLibc) Sigaction(sig int, fn func(int)) kernel.Errno {
-	return a.c.Sigaction(kernel.SignalToXNU(sig), func(_ *kernel.Thread, got int) {
+	return a.C.Sigaction(kernel.SignalToXNU(sig), func(_ *kernel.Thread, got int) {
 		fn(kernel.SignalFromXNU(got))
 	})
 }
 func (a iosLibc) Getrlimit(res int) (uint64, uint64, kernel.Errno) {
-	return a.c.Getrlimit(kernel.RlimitToXNU(res))
+	return a.C.Getrlimit(kernel.RlimitToXNU(res))
 }
 func (a iosLibc) Setrlimit(res int, cur, max uint64) kernel.Errno {
-	return a.c.Setrlimit(kernel.RlimitToXNU(res), cur, max)
+	return a.C.Setrlimit(kernel.RlimitToXNU(res), cur, max)
 }
 func (a iosLibc) OnPressure(fn func(string)) {
-	a.c.DispatchSourceMemoryPressure(func(flags int) {
+	a.DispatchSourceMemoryPressure(func(flags int) {
 		lvl := "warn"
 		if flags == libsystem.DispatchMemoryPressureCritical {
 			lvl = "critical"
@@ -214,16 +162,14 @@ func (a iosLibc) OnPressure(fn func(string)) {
 		fn(lvl)
 	})
 }
-func (a iosLibc) CacheInflate(n uint64) bool { return cacheInflate(a.c.T, a.ms, n) }
-func (a iosLibc) CacheShed() bool            { return cacheShed(a.c.T, a.ms) }
-func (a iosLibc) Errno() int                 { return int(kernel.ErrnoFromXNU(a.c.Errno())) }
+func (a iosLibc) CacheInflate(n uint64) bool { return cacheInflate(a.T, a.ms, n) }
+func (a iosLibc) CacheShed() bool            { return cacheShed(a.T, a.ms) }
+func (a iosLibc) Errno() int                 { return int(kernel.ErrnoFromXNU(a.C.Errno())) }
 func (a iosLibc) Fork(child func(libc)) int {
-	return a.c.Fork(func(cc *libsystem.C) { child(iosLibc{c: cc, ms: &memState{}}) })
+	return a.C.Fork(func(cc *libsystem.C) { child(iosLibc{C: cc, ms: &memState{}}) })
 }
-func (a iosLibc) Wait(pid int) (int, int, kernel.Errno) { return a.c.Wait(pid) }
-func (a iosLibc) Exit(status int)                       { a.c.Exit(status) }
 func (a iosLibc) MachPingPong(id int32) (bool, int, int, int32) {
-	res := machPingPong(a.c, id)
+	res := machPingPong(a.C, id)
 	return res.ok, res.sendKR, res.recvKR, res.gotID
 }
 
@@ -505,9 +451,9 @@ func RunCellDecided(p *Program, ios bool, plan fault.Plan, dec sim.Decider) *Cel
 		th := call.Ctx.(*kernel.Thread)
 		if ios {
 			th.Persona.Switch(persona.IOS)
-			execProgram(iosLibc{c: libsystem.Sys(th), ms: &memState{}}, p, &res.Log)
+			execProgram(iosLibc{C: libsystem.Sys(th), ms: &memState{}}, p, &res.Log)
 		} else {
-			execProgram(androidLibc{c: bionic.Sys(th), ms: &memState{}}, p, &res.Log)
+			execProgram(androidLibc{C: bionic.Sys(th), ms: &memState{}}, p, &res.Log)
 		}
 		return 0
 	})

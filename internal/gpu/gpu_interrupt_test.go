@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/persona"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -32,7 +33,7 @@ func TestFenceWaitSurvivesInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.InstallLinuxTable()
+	k.SetSyscallTable(persona.Android, kernel.LinuxTable(k.PersonaAware()))
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	in := fault.NewInjector(fault.Plan{Name: "fence-eintr", Seed: 1, Rules: []fault.Rule{
 		{Op: fault.OpPark, Match: "sleep", Nth: 1},

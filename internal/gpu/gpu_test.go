@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/persona"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -23,7 +24,7 @@ func onThread(t *testing.T, body func(th *kernel.Thread)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.InstallLinuxTable()
+	k.SetSyscallTable(persona.Android, kernel.LinuxTable(k.PersonaAware()))
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	reg.MustRegister("gpu-body", func(c *prog.Call) uint64 {
 		body(c.Ctx.(*kernel.Thread))

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ducttape"
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/persona"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -21,7 +22,7 @@ func boot(t *testing.T) (*sim.Sim, *kernel.Kernel, *Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.InstallLinuxTable()
+	k.SetSyscallTable(persona.Android, kernel.LinuxTable(k.PersonaAware()))
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	r, err := Install(k, ducttape.NewEnv(k))
 	if err != nil {

@@ -73,7 +73,7 @@ func (l *ELFLoader) Load(t *Thread, path string, data []byte, argv []string) (pr
 	}
 	// Map the loadable segments.
 	for i, seg := range f.Segments {
-		t.charge(k.costs.SegmentMap)
+		t.Charge(k.costs.SegmentMap)
 		prot := elfProt(seg.Flags)
 		size := uint64(seg.MemSize)
 		if size < uint64(len(seg.Data)) {

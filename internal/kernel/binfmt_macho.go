@@ -78,7 +78,7 @@ func (l *MachOLoader) Load(t *Thread, path string, data []byte, argv []string) (
 	// Map the segments.
 	var entryKey string
 	for _, seg := range f.Segments {
-		t.charge(k.costs.SegmentMap)
+		t.Charge(k.costs.SegmentMap)
 		size := uint64(seg.VMSize)
 		if size < uint64(len(seg.Data)) {
 			size = uint64(len(seg.Data))
@@ -151,7 +151,7 @@ func (l *MachOLoader) resolveDylinker(t *Thread, dylinker string) (string, Errno
 		}
 		return "", ErrnoFromVFS(err)
 	}
-	t.charge(t.k.device.Storage.ReadTime(node.Size()))
+	t.Charge(t.k.device.Storage.ReadTime(node.Size()))
 	df, perr := macho.Parse(node.Data())
 	if perr != nil {
 		return "", ENOEXEC

@@ -199,13 +199,13 @@ func (f *fsFile) Read(t *Thread, buf []byte) (int, Errno) {
 	}
 	n := copy(buf, data[f.pos:])
 	f.pos += int64(n)
-	t.charge(f.k.device.Storage.ReadTime(int64(n)))
+	t.Charge(f.k.device.Storage.ReadTime(int64(n)))
 	return n, OK
 }
 
 func (f *fsFile) Write(t *Thread, buf []byte) (int, Errno) {
 	f.pos = f.node.WriteData(f.pos, buf)
-	t.charge(f.k.device.Storage.WriteTime(int64(len(buf))))
+	t.Charge(f.k.device.Storage.WriteTime(int64(len(buf))))
 	return len(buf), OK
 }
 

@@ -265,8 +265,6 @@ type Config struct {
 	Root vfs.FileSystem
 	// Registry resolves simulated program code.
 	Registry *prog.Registry
-	// Costs overrides the profile's default cost table when non-nil.
-	Costs *Costs
 }
 
 // Kernel is one booted kernel instance.
@@ -283,8 +281,9 @@ type Kernel struct {
 
 	binfmts []BinFmt
 
-	// tables maps persona -> syscall dispatch table. Vanilla kernels have
-	// a single native table.
+	// tables maps persona -> syscall dispatch table. The tables are the
+	// shared, read-only ones LinuxTable and abi.XNUTable build once per
+	// process. Vanilla kernels have a single native table.
 	tables [persona.NumKinds]*SyscallTable
 
 	devices map[string]Device
@@ -339,16 +338,14 @@ func New(s *sim.Sim, cfg Config) (*Kernel, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = prog.NewRegistry()
 	}
-	costs := cfg.Costs
-	if costs == nil {
-		switch cfg.Profile {
-		case ProfileCider:
-			costs = NewCiderCosts(cfg.Device.CPU)
-		case ProfileXNUNative:
-			costs = NewXNUNativeCosts(cfg.Device.CPU)
-		default:
-			costs = NewLinuxCosts(cfg.Device.CPU)
-		}
+	var costs *Costs
+	switch cfg.Profile {
+	case ProfileCider:
+		costs = NewCiderCosts(cfg.Device.CPU)
+	case ProfileXNUNative:
+		costs = NewXNUNativeCosts(cfg.Device.CPU)
+	default:
+		costs = NewLinuxCosts(cfg.Device.CPU)
 	}
 	k := &Kernel{
 		sim:        s,
@@ -522,7 +519,8 @@ func (k *Kernel) RegisterBinFmt(b BinFmt) {
 // SetSyscallTable installs the dispatch table for a persona. The Cider
 // kernel "maintains one or more syscall dispatch tables for each persona,
 // and switches among them based on the persona of the calling thread"
-// (Section 4.1).
+// (Section 4.1). An installed table may be shared with other kernels, so
+// it must not be modified afterwards.
 func (k *Kernel) SetSyscallTable(kind persona.Kind, t *SyscallTable) {
 	k.tables[kind] = t
 }

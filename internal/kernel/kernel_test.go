@@ -30,7 +30,7 @@ func newEnv(t *testing.T, profile Profile) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.InstallLinuxTable()
+	k.SetSyscallTable(persona.Android, LinuxTable(k.PersonaAware()))
 	k.RegisterBinFmt(&ELFLoader{})
 	if err := k.AddDevice(NullDevice{}); err != nil {
 		t.Fatal(err)

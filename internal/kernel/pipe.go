@@ -95,9 +95,9 @@ type pipeEnd struct {
 // would double-count the calibrated hop.
 func (pe *pipeEnd) hopCost(t *Thread) {
 	if pe.unix {
-		t.charge(t.k.costs.UnixHop)
+		t.Charge(t.k.costs.UnixHop)
 	} else {
-		t.charge(t.k.costs.PipeHop)
+		t.Charge(t.k.costs.PipeHop)
 	}
 }
 
@@ -195,7 +195,7 @@ func newSockEnd(k *Kernel, recv, send *pipeBuffer) *sockEnd {
 func (se *sockEnd) Read(t *Thread, buf []byte) (int, Errno) {
 	n, errno := se.recv.read(t, buf)
 	if n > 0 {
-		t.charge(t.k.costs.UnixHop)
+		t.Charge(t.k.costs.UnixHop)
 	}
 	return n, errno
 }

@@ -117,7 +117,7 @@ func (t *Thread) getrlimitInternal(res int) (RLimit, Errno) {
 	if res < 0 || res >= numRLimits {
 		return RLimit{}, EINVAL
 	}
-	t.charge(t.k.costs.RlimitBase)
+	t.Charge(t.k.costs.RlimitBase)
 	return t.task.rlimits[res], OK
 }
 
@@ -130,7 +130,7 @@ func (t *Thread) setrlimitInternal(res int, lim RLimit) Errno {
 	if res < 0 || res >= numRLimits || lim.Cur > lim.Max {
 		return EINVAL
 	}
-	t.charge(t.k.costs.RlimitBase)
+	t.Charge(t.k.costs.RlimitBase)
 	t.task.rlimits[res] = lim
 	if res == RLimitNoFile {
 		n := lim.Cur

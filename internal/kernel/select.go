@@ -40,7 +40,7 @@ func (t *Thread) selectInternal(req *SelectRequest) (*SelectResult, Errno) {
 		deadline = t.proc.Now() + req.Timeout
 	}
 	for {
-		t.charge(k.costs.SelectBase + time.Duration(nfds)*k.costs.SelectPerFD)
+		t.Charge(k.costs.SelectBase + time.Duration(nfds)*k.costs.SelectPerFD)
 		res, queues, bad := t.scanSelect(req, true)
 		if bad {
 			return nil, EBADF

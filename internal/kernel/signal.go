@@ -93,7 +93,7 @@ func (t *Thread) sigactionInternal(sig int, act *SigAction) Errno {
 	if sig <= 0 || sig >= nsig || sig == sigKILL || sig == sigSTOP {
 		return EINVAL
 	}
-	t.charge(t.k.costs.SigactionBase)
+	t.Charge(t.k.costs.SigactionBase)
 	if act == nil {
 		delete(t.task.sigActions, sig)
 	} else {
@@ -145,7 +145,7 @@ func (t *Thread) killInternal(pid, sig int) Errno {
 	// Cider checks the persona of the *target* thread to pick the right
 	// delivery format — charged whether or not the personas differ.
 	if t.k.PersonaAware() {
-		t.charge(t.k.costs.SignalPersonaLookup)
+		t.Charge(t.k.costs.SignalPersonaLookup)
 	}
 	t.k.postSignal(target, sig)
 	// Same-process signals are delivered on the way out of the kill
@@ -193,14 +193,14 @@ func (t *Thread) deliverSignal(sig int) {
 		}
 		return
 	}
-	t.charge(k.costs.SignalDeliverBase)
+	t.Charge(k.costs.SignalDeliverBase)
 	delivered := sig
 	translated := false
 	if t.Persona.Current() == persona.IOS {
 		if k.PersonaAware() {
 			// Translate to the XNU number and copy the larger XNU
 			// sigframe the iOS handler expects (the 25% lat_sig overhead).
-			t.charge(k.costs.SignalXNUTranslate + k.costs.SignalXNUFrame)
+			t.Charge(k.costs.SignalXNUTranslate + k.costs.SignalXNUFrame)
 			translated = true
 		}
 		delivered = SignalToXNU(sig)

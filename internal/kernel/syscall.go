@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -81,12 +82,12 @@ type SyscallHandler func(t *Thread, a *SyscallArgs) SyscallRet
 // based on the persona of the calling thread and the syscall number"
 // (Section 4.1).
 type SyscallTable struct {
-	// Name identifies the table ("linux", "xnu-bsd").
+	// Name identifies the table ("linux", "xnu").
 	Name string
-	// EntryExtra and ExitExtra are charged around every call through this
-	// table — the XNU table carries the trap-demux/translation costs.
-	EntryExtra time.Duration
-	ExitExtra  time.Duration
+	// Translates marks a foreign-ABI table: every call through it pays the
+	// kernel's XNUTrapDemux and XNUArgTranslate costs on entry and
+	// XNURetTranslate on exit, priced from the cost table at trap time.
+	Translates bool
 	// dense is the dispatch array for the contiguous low syscall-number
 	// range: dispatch is an index and a nil check, no hashing. ABI numbers
 	// cluster near zero; the only outlier is Cider's set_persona
@@ -230,14 +231,17 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 	if table == nil {
 		// No ABI provisioned for this persona on this kernel (e.g. an iOS
 		// binary trapping into vanilla Linux).
-		t.charge(entryCost + k.costs.SyscallExit)
+		t.Charge(entryCost + k.costs.SyscallExit)
 		if tr != nil {
 			tr.SyscallExit(t.proc.Name(), t.proc.ID(), trPersona, num, trName,
 				int(ENOSYS), trStart, t.proc.Now())
 		}
 		return SyscallRet{R0: ^uint64(0), Errno: ENOSYS}
 	}
-	t.charge(entryCost + table.EntryExtra)
+	if table.Translates {
+		entryCost += k.costs.XNUTrapDemux + k.costs.XNUArgTranslate
+	}
+	t.Charge(entryCost)
 	h, ok := table.Lookup(num)
 	var ret SyscallRet
 	injected := false
@@ -250,7 +254,7 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 		if in.Has(fault.OpCrash) {
 			if out, fire := in.Crash(t.proc.Now(), t.task.path); fire {
 				if out.Delay > 0 {
-					t.charge(out.Delay)
+					t.Charge(out.Delay)
 				}
 				sig := out.Errno
 				if sig <= 0 || sig >= nsig {
@@ -273,7 +277,7 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 			key := t.Persona.Current().String() + "/" + name
 			if out, fire := in.Syscall(t.proc.Now(), key); fire {
 				if out.Delay > 0 {
-					t.charge(out.Delay)
+					t.Charge(out.Delay)
 				}
 				if out.Errno != 0 {
 					ret = SyscallRet{R0: ^uint64(0), Errno: Errno(out.Errno)}
@@ -291,8 +295,14 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 		ret = h(t, a)
 		t.inSyscall = false
 	}
-	// Exit costs batched the same way as entry costs.
-	t.charge(table.ExitExtra + k.costs.SyscallExit)
+	// Exit costs batched the same way as entry costs. The translation
+	// charge follows the table fetched at entry, not the persona now:
+	// set_persona switches the persona in the middle of its own call.
+	exitCost := k.costs.SyscallExit
+	if table.Translates {
+		exitCost += k.costs.XNURetTranslate
+	}
+	t.Charge(exitCost)
 	if ret.Errno != OK {
 		// Post errno to the current persona's TLS area, in that persona's
 		// own numbering.
@@ -314,9 +324,28 @@ func (t *Thread) Syscall(num int, a *SyscallArgs) SyscallRet {
 	return ret
 }
 
-// InstallLinuxTable builds and installs the native Linux syscall table for
-// the Android persona. Vanilla kernels install only this table.
-func (k *Kernel) InstallLinuxTable() *SyscallTable {
+// linuxTables are the process-wide Linux syscall tables, each built once
+// on first use and read-only afterwards: index 0 serves kernels without
+// personas, index 1 persona-aware (Cider) kernels, whose table also
+// registers set_persona.
+var linuxTables = [2]func() *SyscallTable{
+	sync.OnceValue(func() *SyscallTable { return buildLinuxTable(false) }),
+	sync.OnceValue(func() *SyscallTable { return buildLinuxTable(true) }),
+}
+
+// LinuxTable returns the shared native Linux syscall table. Kernels
+// install it for the Android persona with SetSyscallTable; personaAware
+// selects the Cider variant with set_persona registered.
+func LinuxTable(personaAware bool) *SyscallTable {
+	if personaAware {
+		return linuxTables[1]()
+	}
+	return linuxTables[0]()
+}
+
+// buildLinuxTable builds one Linux table. Handlers reach their kernel
+// through the trapping thread, so one table serves every kernel.
+func buildLinuxTable(personaAware bool) *SyscallTable {
 	tb := NewSyscallTable("linux")
 	tb.Register(SysExit, "exit", func(t *Thread, a *SyscallArgs) SyscallRet {
 		t.exitTask(int(a.I[0]))
@@ -334,7 +363,7 @@ func (k *Kernel) InstallLinuxTable() *SyscallTable {
 		if errno != OK {
 			return SyscallRet{Errno: errno}
 		}
-		t.charge(t.k.costs.ReadBase)
+		t.Charge(t.k.costs.ReadBase)
 		n, errno := f.Read(t, a.Buf)
 		return SyscallRet{R0: uint64(n), Errno: errno}
 	})
@@ -343,7 +372,7 @@ func (k *Kernel) InstallLinuxTable() *SyscallTable {
 		if errno != OK {
 			return SyscallRet{Errno: errno}
 		}
-		t.charge(t.k.costs.WriteBase)
+		t.Charge(t.k.costs.WriteBase)
 		n, errno := f.Write(t, a.Buf)
 		return SyscallRet{R0: uint64(n), Errno: errno}
 	})
@@ -352,7 +381,7 @@ func (k *Kernel) InstallLinuxTable() *SyscallTable {
 		return SyscallRet{R0: uint64(fd), Errno: errno}
 	})
 	tb.Register(SysClose, "close", func(t *Thread, a *SyscallArgs) SyscallRet {
-		t.charge(t.k.costs.CloseBase)
+		t.Charge(t.k.costs.CloseBase)
 		return SyscallRet{Errno: t.task.fds.Close(t, int(a.I[0]))}
 	})
 	tb.Register(SysCreat, "creat", func(t *Thread, a *SyscallArgs) SyscallRet {
@@ -390,7 +419,7 @@ func (k *Kernel) InstallLinuxTable() *SyscallTable {
 		if errno != OK {
 			return SyscallRet{Errno: errno}
 		}
-		t.charge(t.k.costs.IoctlBase)
+		t.Charge(t.k.costs.IoctlBase)
 		r, errno := f.Ioctl(t, a.I[1], a.I[2])
 		return SyscallRet{R0: r, Errno: errno}
 	})
@@ -426,10 +455,9 @@ func (k *Kernel) InstallLinuxTable() *SyscallTable {
 	tb.Register(SysSetrlimit, "setrlimit", func(t *Thread, a *SyscallArgs) SyscallRet {
 		return SyscallRet{Errno: t.setrlimitInternal(int(a.I[0]), RLimit{Cur: a.I[1], Max: a.I[2]})}
 	})
-	if k.PersonaAware() {
+	if personaAware {
 		tb.Register(SysSetPersona, "set_persona", sysSetPersona)
 	}
-	k.SetSyscallTable(persona.Android, tb)
 	return tb
 }
 
@@ -441,7 +469,7 @@ func sysSetPersona(t *Thread, a *SyscallArgs) SyscallRet {
 	if to < 0 || int(to) >= persona.NumKinds {
 		return SyscallRet{Errno: EINVAL}
 	}
-	t.charge(t.k.costs.SetPersonaCost)
+	t.Charge(t.k.costs.SetPersonaCost)
 	prev := t.Persona.Switch(to)
 	return SyscallRet{R0: uint64(prev)}
 }
@@ -479,7 +507,7 @@ func (t *Thread) SetPersona(num int, to persona.Kind) SyscallRet {
 // get an fsFile; device nodes dispatch to the device framework.
 func (t *Thread) openInternal(path string, flags int) (int, Errno) {
 	k := t.k
-	t.charge(k.costs.OpenBase)
+	t.Charge(k.costs.OpenBase)
 	node, err := k.root.Lookup(path)
 	if err != nil {
 		if _, missing := err.(*vfs.ErrNotFound); missing && flags&OCreat != 0 {
@@ -510,8 +538,8 @@ const OCreat = 0x40 // Linux O_CREAT
 // creatInternal creates a file (truncating an existing one) and opens it.
 func (t *Thread) creatInternal(path string) (int, Errno) {
 	k := t.k
-	t.charge(k.costs.CreateBase)
-	t.charge(k.device.Storage.CreateLatency)
+	t.Charge(k.costs.CreateBase)
+	t.Charge(k.device.Storage.CreateLatency)
 	node, err := k.root.Create(path)
 	if err != nil {
 		if _, exists := err.(*vfs.ErrExists); !exists {
@@ -533,8 +561,8 @@ func (t *Thread) creatInternal(path string) (int, Errno) {
 // unlinkInternal removes a file.
 func (t *Thread) unlinkInternal(path string) Errno {
 	k := t.k
-	t.charge(k.costs.UnlinkBase)
-	t.charge(k.device.Storage.DeleteLatency)
+	t.Charge(k.costs.UnlinkBase)
+	t.Charge(k.device.Storage.DeleteLatency)
 	if err := k.root.Remove(path); err != nil {
 		return ErrnoFromVFS(err)
 	}

@@ -139,16 +139,10 @@ func (t *Thread) Kernel() *Kernel { return t.k }
 // Proc returns the simulated execution context.
 func (t *Thread) Proc() *sim.Proc { return t.proc }
 
-// charge adds virtual time to the thread.
-func (t *Thread) charge(d time.Duration) { t.proc.Advance(d) }
-
-// Charge exposes cost charging to user-space runtimes (libc, dyld,
-// libraries) that model their own compute.
-func (t *Thread) Charge(d time.Duration) { t.charge(d) }
-
-// Compute charges n operations of CPU op class, scaled by the executing
-// image's toolchain (set via SetToolchainScale at load time).
-func (t *Thread) Compute(d time.Duration) { t.charge(d) }
+// Charge adds virtual time to the thread: the one entry point through
+// which the kernel and the user-space runtimes (libc, dyld, libraries)
+// accrue modeled cost.
+func (t *Thread) Charge(d time.Duration) { t.proc.Advance(d) }
 
 // Now returns the thread's virtual clock.
 func (t *Thread) Now() time.Duration { return t.proc.Now() }
@@ -255,12 +249,12 @@ func (t *Thread) forkInternal(childFn func(*Thread)) (int, Errno) {
 	// resource limits themselves are inherited, POSIX fork semantics.
 	k.bindMemHooks(child)
 	child.rlimits = tk.rlimits
-	t.charge(costs.ForkBase + time.Duration(ptes)*costs.PTECopy)
+	t.Charge(costs.ForkBase + time.Duration(ptes)*costs.PTECopy)
 
 	// Cider initializes the child's Mach task port at fork ("some extra
 	// work in Mach IPC initialization", §6.2) — negligible but real.
 	if k.profile == ProfileCider {
-		t.charge(costs.MachPortInit)
+		t.Charge(costs.MachPortInit)
 	}
 
 	child.fds = tk.fds.Fork()
@@ -311,12 +305,12 @@ func (t *Thread) loadImage(path string, argv []string) (prog.Func, Errno) {
 		return nil, EISDIR
 	}
 	data := node.Data()
-	t.charge(k.device.Storage.ReadTime(int64(len(data))))
+	t.Charge(k.device.Storage.ReadTime(int64(len(data))))
 
 	t.task.path = path
 	t.task.argv = argv
 	for _, b := range k.binfmts {
-		t.charge(k.costs.BinfmtProbe)
+		t.Charge(k.costs.BinfmtProbe)
 		entry, errno := b.Load(t, path, data, argv)
 		if errno == ENOEXEC {
 			continue // not this loader's format; try the next
@@ -337,7 +331,7 @@ func (t *Thread) loadImage(path string, argv []string) (prog.Func, Errno) {
 // validating the format).
 func (t *Thread) execInternal(path string, argv []string) Errno {
 	k := t.k
-	t.charge(k.costs.ExecBase)
+	t.Charge(k.costs.ExecBase)
 	// Validate path and format before destroying the old image, so a
 	// failed exec returns to the caller with the process intact.
 	node, err := k.root.Lookup(path)
@@ -360,7 +354,7 @@ func (t *Thread) execInternal(path string, argv []string) Errno {
 	// Point of no return: tear down the old image. A 90 MB iOS process
 	// pays per-PTE teardown here, part of the cost of exec'ing out of an
 	// iOS binary (§6.2).
-	t.charge(time.Duration(t.task.mem.PTECount()) * k.costs.ExecTeardown)
+	t.Charge(time.Duration(t.task.mem.PTECount()) * k.costs.ExecTeardown)
 	t.task.mem.UnmapAll()
 	for key := range t.task.userData {
 		delete(t.task.userData, key)
@@ -378,7 +372,7 @@ func (t *Thread) exitTask(status int) {
 	if tk.state != taskRunning {
 		t.proc.Exit()
 	}
-	t.charge(k.costs.ExitBase)
+	t.Charge(k.costs.ExitBase)
 	tk.fds.CloseAll(t)
 	tk.mem.UnmapAll()
 	for _, h := range k.exitHooks {
@@ -428,7 +422,7 @@ func (t *Thread) exitTask(status int) {
 // child when pid <= 0) exits, then reap it and return its pid and status.
 func (t *Thread) waitInternal(pid int) (int, int, Errno) {
 	tk := t.task
-	t.charge(t.k.costs.WaitBase)
+	t.Charge(t.k.costs.WaitBase)
 	for {
 		// With several simultaneous zombies the reaped child must not
 		// depend on Go map iteration order: reap the lowest-pid zombie.

@@ -63,75 +63,20 @@ type libc interface {
 	SigUsr1() int
 }
 
-// bionicLibc adapts bionic.C.
-type bionicLibc struct{ c *bionic.C }
+// bionicLibc adapts bionic.C; only Fork (whose child sees the adapter)
+// and the signal number differ from the library's own surface.
+type bionicLibc struct{ *bionic.C }
 
 func (b bionicLibc) Fork(child func(libc)) int {
-	return b.c.Fork(func(cc *bionic.C) { child(bionicLibc{cc}) })
-}
-func (b bionicLibc) Exit(s int)                             { b.c.Exit(s) }
-func (b bionicLibc) Exec(p string, a []string) kernel.Errno { return b.c.Exec(p, a) }
-func (b bionicLibc) Wait(pid int) (int, int, kernel.Errno)  { return b.c.Wait(pid) }
-func (b bionicLibc) Open(p string) (int, kernel.Errno)      { return b.c.Open(p) }
-func (b bionicLibc) Creat(p string) (int, kernel.Errno)     { return b.c.Creat(p) }
-func (b bionicLibc) Close(fd int) kernel.Errno              { return b.c.Close(fd) }
-func (b bionicLibc) Read(fd int, p []byte) (int, kernel.Errno) {
-	return b.c.Read(fd, p)
-}
-func (b bionicLibc) Write(fd int, p []byte) (int, kernel.Errno) {
-	return b.c.Write(fd, p)
-}
-func (b bionicLibc) Unlink(p string) kernel.Errno   { return b.c.Unlink(p) }
-func (b bionicLibc) Pipe() (int, int, kernel.Errno) { return b.c.Pipe() }
-func (b bionicLibc) Socketpair() (int, int, kernel.Errno) {
-	return b.c.Socketpair()
-}
-func (b bionicLibc) Select(r *kernel.SelectRequest) (*kernel.SelectResult, kernel.Errno) {
-	return b.c.Select(r)
-}
-func (b bionicLibc) GetPID() int  { return b.c.GetPID() }
-func (b bionicLibc) GetPPID() int { return b.c.GetPPID() }
-func (b bionicLibc) Kill(pid, sig int) kernel.Errno {
-	return b.c.Kill(pid, sig)
-}
-func (b bionicLibc) Sigaction(sig int, h kernel.SignalHandler) kernel.Errno {
-	return b.c.Sigaction(sig, h)
+	return b.C.Fork(func(cc *bionic.C) { child(bionicLibc{cc}) })
 }
 func (b bionicLibc) SigUsr1() int { return kernel.SIGUSR1 }
 
 // darwinLibc adapts libsystem.C (XNU signal numbering included).
-type darwinLibc struct{ c *libsystem.C }
+type darwinLibc struct{ *libsystem.C }
 
 func (d darwinLibc) Fork(child func(libc)) int {
-	return d.c.Fork(func(cc *libsystem.C) { child(darwinLibc{cc}) })
-}
-func (d darwinLibc) Exit(s int)                             { d.c.Exit(s) }
-func (d darwinLibc) Exec(p string, a []string) kernel.Errno { return d.c.Exec(p, a) }
-func (d darwinLibc) Wait(pid int) (int, int, kernel.Errno)  { return d.c.Wait(pid) }
-func (d darwinLibc) Open(p string) (int, kernel.Errno)      { return d.c.Open(p) }
-func (d darwinLibc) Creat(p string) (int, kernel.Errno)     { return d.c.Creat(p) }
-func (d darwinLibc) Close(fd int) kernel.Errno              { return d.c.Close(fd) }
-func (d darwinLibc) Read(fd int, p []byte) (int, kernel.Errno) {
-	return d.c.Read(fd, p)
-}
-func (d darwinLibc) Write(fd int, p []byte) (int, kernel.Errno) {
-	return d.c.Write(fd, p)
-}
-func (d darwinLibc) Unlink(p string) kernel.Errno   { return d.c.Unlink(p) }
-func (d darwinLibc) Pipe() (int, int, kernel.Errno) { return d.c.Pipe() }
-func (d darwinLibc) Socketpair() (int, int, kernel.Errno) {
-	return d.c.Socketpair()
-}
-func (d darwinLibc) Select(r *kernel.SelectRequest) (*kernel.SelectResult, kernel.Errno) {
-	return d.c.Select(r)
-}
-func (d darwinLibc) GetPID() int  { return d.c.GetPID() }
-func (d darwinLibc) GetPPID() int { return d.c.GetPPID() }
-func (d darwinLibc) Kill(pid, sig int) kernel.Errno {
-	return d.c.Kill(pid, sig)
-}
-func (d darwinLibc) Sigaction(sig int, h kernel.SignalHandler) kernel.Errno {
-	return d.c.Sigaction(sig, h)
+	return d.C.Fork(func(cc *libsystem.C) { child(darwinLibc{cc}) })
 }
 func (d darwinLibc) SigUsr1() int { return 30 } // XNU SIGUSR1
 

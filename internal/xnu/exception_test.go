@@ -19,7 +19,7 @@ import (
 // the Linux table directly — the ABI layer's number translation is out of
 // scope here; only the persona at delivery time matters.
 func iosSyscalls(h *harness) {
-	h.k.SetSyscallTable(persona.IOS, h.k.InstallLinuxTable())
+	h.k.SetSyscallTable(persona.IOS, kernel.LinuxTable(true))
 }
 
 // crashSelf drives the victim thread into the kernel's fatal-signal path

@@ -8,6 +8,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/persona"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -30,7 +31,7 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.InstallLinuxTable()
+	k.SetSyscallTable(persona.Android, kernel.LinuxTable(k.PersonaAware()))
 	k.RegisterBinFmt(&kernel.ELFLoader{})
 	env := ducttape.NewEnv(k)
 	ipc, err := InstallIPC(k, env)
